@@ -70,11 +70,11 @@ chaos:
 # the full durable-store test set — every-injection-point crash/recover
 # sweeps, double crashes during recovery, byte-granular WAL truncation, WAL
 # and codec fuzz seeds — plus the CRASHCHAOS-gated scale runs: a 100k-row
-# ingest killed at sampled points per fault site, and the 1.7M-row reopened
-# store answering a selective Select without loading the segments into RAM.
+# ingest killed at sampled points per fault site, and the 1.7M-row store
+# reopened read-only, materialized, and answering a selective Select.
 crashchaos:
 	CRASHCHAOS=1 go test -race -count=1 -timeout=30m -v \
-		-run 'TestCrashChaos|TestRecovery|TestScaleLazySelect|Fuzz' \
+		-run 'TestCrashChaos|TestRecovery|TestScaleReopenSelect|Fuzz' \
 		./internal/relation/durable
 
 # The categorizer/columnar benchmarks, recorded as BENCH_categorize.json
@@ -106,7 +106,7 @@ servebench:
 	@echo wrote BENCH_serve.json
 
 # The selection-engine numbers, recorded as BENCH_select.json: warm
-# (conjunct-cache hit), indexed, single-conjunct, and cold (cache dropped per
+# (conjunct-cache hit), single-conjunct, and cold (cache dropped per
 # iteration) Select at paper scale, against the pre-vectorization row-wise
 # baseline in testdata/select_seed.txt.
 selectbench:

@@ -449,24 +449,15 @@ func BenchmarkWorkloadPreprocess(b *testing.B) {
 	}
 }
 
-// BenchmarkSelect measures predicate evaluation over the base relation,
-// with the experiments' secondary indexes and with a plain scan.
+// BenchmarkSelect measures predicate evaluation over the base relation.
 func BenchmarkSelect(b *testing.B) {
 	env := mustEnv(b)
 	q := sqlparse.MustParse("SELECT * FROM ListProperty WHERE neighborhood IN ('Seattle, WA','Bellevue, WA') AND price BETWEEN 200000 AND 300000")
 	pred := q.Predicate()
-	b.Run("indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			env.R.Select(pred)
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		plain := datagen.Dataset(datagen.DatasetConfig{Rows: env.Cfg.Rows, Seed: env.Cfg.Seed})
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			plain.Select(pred)
-		}
-	})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env.R.Select(pred)
+	}
 }
 
 // BenchmarkExploreAll measures one deterministic ALL-scenario exploration.
@@ -514,37 +505,6 @@ func BenchmarkCostEstimation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		category.TreeCostAll(tree)
 		category.TreeCostOne(tree, 0.5)
-	}
-}
-
-// BenchmarkCategorizeParallel compares sequential and concurrent candidate
-// evaluation on one large result set.
-func BenchmarkCategorizeParallel(b *testing.B) {
-	env := mustEnv(b)
-	var qw *sqlparse.Query
-	for _, cand := range env.W.Queries {
-		if q, ok := datagen.Broaden(cand); ok {
-			qw = q
-			break
-		}
-	}
-	rows := env.R.Select(qw.Predicate())
-	for _, parallel := range []bool{false, true} {
-		name := "sequential"
-		if parallel {
-			name = "parallel"
-		}
-		b.Run(name, func(b *testing.B) {
-			cat := category.NewCategorizer(env.FullStats, category.Options{
-				M: env.Cfg.M, K: env.Cfg.K, X: env.Cfg.X, Parallel: parallel,
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cat.CategorizeRows(env.R, qw, rows); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -20,6 +20,9 @@ go vet ./...
 step "go build"
 go build ./...
 
+step "perfbench module: go vet (its own go.mod, so the root ./... never compiles it)"
+(cd perfbench && go vet ./...)
+
 step "catlint (project-specific static analysis, DESIGN.md §11)"
 go run ./cmd/catlint ./...
 

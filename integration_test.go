@@ -22,7 +22,6 @@ func TestFullPipelineAllFeatures(t *testing.T) {
 		Options: repro.Options{
 			M:             15,
 			MaxCategories: 6,
-			Parallel:      true,
 			AutoBuckets:   true,
 		},
 	})
@@ -113,7 +112,7 @@ func TestTechniqueOrderingUnderAllFeatures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := repro.Options{M: 20, Parallel: true}
+	opts := repro.Options{M: 20}
 	cb, err := res.CategorizeWith(repro.CostBased, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -24,24 +24,6 @@ func BenchmarkCategorize(b *testing.B) {
 	}
 }
 
-// BenchmarkCategorizeParallel measures the same construction with the
-// bounded worker pool evaluating candidate attributes concurrently.
-func BenchmarkCategorizeParallel(b *testing.B) {
-	stats := testStats(b)
-	for _, n := range []int{4000, 20000} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			r := testRelation(n)
-			c := NewCategorizer(stats, Options{M: 20, X: 0.1, Parallel: true})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Categorize(r, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCategorizeSharded sweeps the shard-parallel fan-out on the large
 // dataset. shards=1 is the sequential no-regression baseline against
 // BENCH_categorize.json's BenchmarkCategorize/rows=20000; the 2/4/8 points

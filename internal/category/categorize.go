@@ -3,10 +3,7 @@ package category
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/relation"
@@ -55,11 +52,6 @@ type Options struct {
 	// the classic histogram boundary rule, exposed for the splitpoint
 	// ablation. Ignored by the cost-based technique.
 	EquiDepth bool
-	// Parallel evaluates the candidate attributes of each level
-	// concurrently (one goroutine per candidate). The chosen tree is
-	// identical to the sequential one: all candidates are costed and ties
-	// break on candidate order.
-	Parallel bool
 	// MaxCategories bounds a categorical level's fan-out: when a node would
 	// get more than MaxCategories children, the least-requested values are
 	// merged into one trailing multi-value "Other" category (rendered like
@@ -263,11 +255,9 @@ func (c *Categorizer) runLevels(lc *levelContext, tree *Tree, frontier []*Node, 
 
 // bestPlan evaluates every candidate attribute's partitioning of S with
 // build and returns the plan minimizing the Figure 6 objective, or nil if
-// none partitions anything. With Options.Parallel the candidates are
-// evaluated by a bounded worker pool (at most GOMAXPROCS goroutines pulling
-// candidates off a shared counter), so a wide candidate set cannot fan out
-// into unbounded goroutines; selection is order-deterministic either way
-// (all candidates are costed and ties break on candidate-list position).
+// none partitions anything. All candidates are costed and ties break on
+// candidate-list position. Intra-node parallelism comes from Options.Shards
+// (shard.go), not from evaluating candidates concurrently.
 func bestPlan(candidates []string, s []*Node, lc *levelContext, build func(string, []*Node) *plan) *plan {
 	best, _ := bestPlanAll(candidates, s, lc, build, false)
 	return best
@@ -282,38 +272,12 @@ func bestPlanAll(candidates []string, s []*Node, lc *levelContext, build func(st
 		cost float64
 	}
 	results := make([]scored, len(candidates))
-	eval := func(i int) {
+	for i, attr := range candidates {
 		if ctxExpired(lc.ctx) != nil {
-			return // abandoned build; categorize discards the level
+			break // abandoned build; categorize discards the level
 		}
-		if pl := build(candidates[i], s); pl != nil {
+		if pl := build(attr, s); pl != nil {
 			results[i] = scored{pl, lc.planCost(pl, s)}
-		}
-	}
-	if lc.opts.Parallel && len(candidates) > 1 {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(candidates) {
-			workers = len(candidates)
-		}
-		var next int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(atomic.AddInt64(&next, 1)) - 1
-					if i >= len(candidates) {
-						return
-					}
-					eval(i)
-				}
-			}()
-		}
-		wg.Wait()
-	} else {
-		for i := range candidates {
-			eval(i)
 		}
 	}
 	var best *plan

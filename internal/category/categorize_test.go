@@ -434,14 +434,17 @@ func TestCategorizeInvariantsProperty(t *testing.T) {
 	}
 }
 
+// TestParallelMatchesSequential: a shard-parallel build (every node forced
+// through the sharded partition path) equals the one-shard build.
 func TestParallelMatchesSequential(t *testing.T) {
+	forceSharding(t)
 	r := testRelation(1500)
 	stats := testStats(t)
-	seq, err := NewCategorizer(stats, Options{M: 10, X: 0.1}).Categorize(r, nil)
+	seq, err := NewCategorizer(stats, Options{M: 10, X: 0.1, Shards: 1}).Categorize(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := NewCategorizer(stats, Options{M: 10, X: 0.1, Parallel: true}).Categorize(r, nil)
+	par, err := NewCategorizer(stats, Options{M: 10, X: 0.1, Shards: 4}).Categorize(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -462,15 +465,18 @@ func TestParallelMatchesSequential(t *testing.T) {
 	mustValidate(t, par)
 }
 
+// TestParallelBaselineMatchesSequential is TestParallelMatchesSequential for
+// the Attr-cost baseline.
 func TestParallelBaselineMatchesSequential(t *testing.T) {
+	forceSharding(t)
 	r := testRelation(1500)
 	stats := testStats(t)
 	attrs := []string{"propertytype", "bedrooms", "neighborhood", "price"}
-	seq, err := (&Baseline{Stats: stats, Kind: AttrCost, Opts: Options{M: 10, CandidateAttrs: attrs}}).Categorize(r, nil)
+	seq, err := (&Baseline{Stats: stats, Kind: AttrCost, Opts: Options{M: 10, CandidateAttrs: attrs, Shards: 1}}).Categorize(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := (&Baseline{Stats: stats, Kind: AttrCost, Opts: Options{M: 10, CandidateAttrs: attrs, Parallel: true}}).Categorize(r, nil)
+	par, err := (&Baseline{Stats: stats, Kind: AttrCost, Opts: Options{M: 10, CandidateAttrs: attrs, Shards: 4}}).Categorize(r, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

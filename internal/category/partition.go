@@ -78,15 +78,14 @@ type levelContext struct {
 	counters *ShardCounters
 
 	// perms caches each frontier node's tuple-set sorted by a numeric
-	// attribute, shared across the bestPlan fan-out (and across the
-	// enumerator's many cut-set plans) so no candidate evaluation ever
+	// attribute, shared across the level's candidate evaluations (and across
+	// the enumerator's many cut-set plans) so no candidate evaluation ever
 	// re-sorts a (node, attribute) pair. Reset per level via resetLevel.
-	permMu sync.Mutex
-	perms  map[permKey]*sortedProj
+	perms map[permKey]*sortedProj
 
-	// scratch pools counting-sort arenas for categorical plans so the
-	// bounded worker pool reuses buffers instead of allocating
-	// O(candidates × nodes) garbage per level.
+	// scratch pools counting-sort arenas for categorical plans so candidate
+	// evaluations reuse buffers instead of allocating O(candidates × nodes)
+	// garbage per level.
 	scratch sync.Pool // holds *catScratch
 }
 
@@ -108,26 +107,20 @@ type sortedProj struct {
 // resetLevel clears the per-level caches; call whenever the frontier the
 // partitioners see changes.
 func (lc *levelContext) resetLevel() {
-	lc.permMu.Lock()
 	if lc.perms == nil {
 		lc.perms = make(map[permKey]*sortedProj)
 	} else {
 		clear(lc.perms) // reuse the buckets level over level
 	}
-	lc.permMu.Unlock()
 }
 
 // sortedProjection returns the cached value-sorted permutation of n's
 // tuple-set for the numeric attribute at schema position pos (col is that
-// attribute's columnar projection), computing and caching it on first use.
-// Safe for concurrent use by the candidate workers; each (node, attribute)
-// pair is sorted at most once per level.
+// attribute's columnar projection), computing and caching it on first use:
+// each (node, attribute) pair is sorted at most once per level.
 func (lc *levelContext) sortedProjection(n *Node, pos int, col []float64) *sortedProj {
 	key := permKey{n, pos}
-	lc.permMu.Lock()
-	sp, ok := lc.perms[key]
-	lc.permMu.Unlock()
-	if ok {
+	if sp, ok := lc.perms[key]; ok {
 		return sp
 	}
 	// The browsing-mode root categorizes the whole relation in row order;
@@ -135,13 +128,13 @@ func (lc *levelContext) sortedProjection(n *Node, pos int, col []float64) *sorte
 	// relation's cached full-table projection instead of re-sorting.
 	if len(n.Tset) == lc.r.Len() && isIdentity(n.Tset) {
 		attr := lc.r.Schema().Attr(pos).Name
-		if rows, vals, err := lc.r.NumSorted(attr); err == nil {
-			sp = &sortedProj{idx: rows, vals: vals}
-			return lc.storePerm(key, sp)
+		// The length check covers an Append racing the build: the cached
+		// sort then spans rows the node does not hold.
+		if rows, vals, err := lc.r.NumSorted(attr); err == nil && len(rows) == len(n.Tset) {
+			return lc.storePerm(key, &sortedProj{idx: rows, vals: vals})
 		}
 	}
-	// Sort outside the lock: distinct (node, attribute) pairs proceed in
-	// parallel. The numeric sort is deliberately NOT sharded: pdqsort's tie
+	// The numeric sort is deliberately NOT sharded: pdqsort's tie
 	// order is deterministic for a fixed input but not total, so a chunked
 	// sort-and-merge would need a tie-breaking comparator, which defeats
 	// pdqsort's equal-element partitioning and costs >2x on low-cardinality
@@ -151,16 +144,12 @@ func (lc *levelContext) sortedProjection(n *Node, pos int, col []float64) *sorte
 	return lc.storePerm(key, &sortedProj{idx: idx, vals: vals})
 }
 
-// storePerm publishes a computed projection, keeping the first one stored
-// if another worker raced us to the same (node, attribute) pair.
+// storePerm caches a computed projection for the rest of the level (when
+// the level cache is live) and returns it.
 func (lc *levelContext) storePerm(key permKey, sp *sortedProj) *sortedProj {
-	lc.permMu.Lock()
-	if prev, ok := lc.perms[key]; ok {
-		sp = prev
-	} else if lc.perms != nil {
+	if lc.perms != nil {
 		lc.perms[key] = sp
 	}
-	lc.permMu.Unlock()
 	return sp
 }
 

@@ -80,7 +80,7 @@ type repairScenario struct {
 func repairScenarios() []repairScenario {
 	return []repairScenario{
 		{name: "costbased-seq", opts: Options{M: 20, X: 0.1}},
-		{name: "costbased-parallel", opts: Options{M: 20, X: 0.1, Parallel: true}},
+		{name: "costbased-parallel", opts: Options{M: 20, X: 0.1, Shards: 2}},
 		{name: "costbased-maxcat", opts: Options{M: 10, X: 0.1, MaxCategories: 3}},
 		{name: "costbased-autobuckets", opts: Options{M: 12, X: 0.1, AutoBuckets: true, MaxBuckets: 4}},
 		{name: "costbased-query", opts: Options{M: 15, X: 0.1},

@@ -151,6 +151,10 @@ func (lc *levelContext) shardedPartitionNode(col *relation.CatColumn, attr strin
 	var shView []relation.Shard
 	if identity {
 		shView = lc.r.Shards(k)
+		// Shards reads the row count again: an Append racing the build can
+		// grow the relation past the tuple-set in between, and views over
+		// rows the node does not hold would overrun the arena.
+		identity = shView[k-1].Hi == len(n.Tset)
 	}
 
 	var wg sync.WaitGroup

@@ -137,7 +137,7 @@ func TestConcurrentCategorizeAppend(t *testing.T) {
 			}()
 
 			for i := 0; i < 8; i++ {
-				c := NewCategorizer(stats, Options{M: 20, X: 0.1, Shards: 4, Parallel: i%2 == 0})
+				c := NewCategorizer(stats, Options{M: 20, X: 0.1, Shards: 4})
 				tree, err := c.Categorize(r, nil)
 				if err != nil {
 					t.Fatalf("build %d: %v", i, err)

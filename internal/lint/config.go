@@ -64,8 +64,8 @@ type Config struct {
 	// unpublished spare capacity under the relation mutex). SegFields lists
 	// the shared page-carrying fields ("Type.Field") segguard bans writing,
 	// appending to, or copying into anywhere else — a sealed segment's
-	// Codes/Dict backing is shared by every published column snapshot,
-	// conjunct bitmap, and index built over it (PR8). Reads stay free.
+	// Codes/Dict backing is shared by every published column snapshot and
+	// conjunct bitmap built over it (DESIGN.md §14). Reads stay free.
 	SegPkgs   []string
 	SegFields []string
 

@@ -7,8 +7,8 @@ import (
 
 // checkSegGuard guards the segmented-store immutability boundary (PR8): a
 // sealed segment's column pages — the dictionary-code and dictionary slices
-// behind CatColumn — are shared by every published snapshot, conjunct
-// bitmap, and index that was built over them. Inside internal/relation the
+// behind CatColumn — are shared by every published snapshot and conjunct
+// bitmap that was built over them. Inside internal/relation the
 // extension paths write only into unpublished spare capacity under the
 // relation mutex; anywhere else, a write, append, or copy through those
 // fields tears concurrent readers. segguard flags the mutating uses (reads

@@ -60,23 +60,6 @@ func BenchmarkCatColumnLookup(b *testing.B) {
 	}
 }
 
-// BenchmarkCatCandidates measures the multi-value IN lookup whose sorted
-// posting lists are combined by the pairwise merge ladder.
-func BenchmarkCatCandidates(b *testing.B) {
-	r := relationOfSize(20000, 7)
-	if err := r.BuildIndex(); err != nil {
-		b.Fatal(err)
-	}
-	p := NewIn("neighborhood", "Bellevue, WA", "Redmond, WA", "Seattle, WA")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		list, ok := r.indexes().catCandidates(p)
-		if !ok || len(list) == 0 {
-			b.Fatal("no candidates")
-		}
-	}
-}
-
 // selectBenchPred is the multi-conjunct selection the BENCH_select.json
 // record is built around: a categorical IN plus two numeric ranges over the
 // 20k-row home-listing shape.
@@ -104,24 +87,6 @@ func BenchmarkSelectQuery(b *testing.B) {
 	b.Run("rows=20000/conjuncts=1", func(b *testing.B) {
 		r := relationOfSize(20000, 7)
 		pred := NewIn("neighborhood", "Seattle, WA", "Bellevue, WA")
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if len(r.Select(pred)) == 0 {
-				b.Fatal("empty selection")
-			}
-		}
-	})
-}
-
-// BenchmarkSelectQueryIndexed is BenchmarkSelectQuery over a relation with
-// secondary indexes built.
-func BenchmarkSelectQueryIndexed(b *testing.B) {
-	b.Run("rows=20000/conjuncts=3", func(b *testing.B) {
-		r := relationOfSize(20000, 7)
-		if err := r.BuildIndex(); err != nil {
-			b.Fatal(err)
-		}
-		pred := selectBenchPred()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if len(r.Select(pred)) == 0 {

@@ -9,8 +9,7 @@ import "math/bits"
 // unpacks to the ascending []int row list the categorizer consumes.
 //
 // Bitmaps published through the conjunct cache are immutable; the in-place
-// operations (Set, And, AndNot) are for bitmaps still owned by their
-// builder.
+// operations (Set, And) are for bitmaps still owned by their builder.
 type Bitmap struct {
 	words []uint64
 	n     int
@@ -29,21 +28,6 @@ func (b *Bitmap) Set(i int) { b.words[i>>6] |= 1 << (uint(i) & 63) }
 
 // Get reports whether row i is set.
 func (b *Bitmap) Get(i int) bool { return b.words[i>>6]>>(uint(i)&63)&1 != 0 }
-
-// SetAll sets every row in [0, n).
-func (b *Bitmap) SetAll() {
-	for i := range b.words {
-		b.words[i] = ^uint64(0)
-	}
-	b.trim()
-}
-
-// trim clears the bits above n-1 in the last word, keeping Count exact.
-func (b *Bitmap) trim() {
-	if rem := uint(b.n) & 63; rem != 0 && len(b.words) > 0 {
-		b.words[len(b.words)-1] &= (1 << rem) - 1
-	}
-}
 
 // Count returns the number of set rows.
 func (b *Bitmap) Count() int {
@@ -68,21 +52,6 @@ func (b *Bitmap) And(o *Bitmap) int {
 	}
 	for i := m; i < len(b.words); i++ {
 		b.words[i] = 0
-	}
-	return c
-}
-
-// AndNot removes o's rows from b in place and returns the resulting count.
-// Rows beyond o's universe are kept (o does not claim them).
-func (b *Bitmap) AndNot(o *Bitmap) int {
-	c := 0
-	m := min(len(b.words), len(o.words))
-	for i := 0; i < m; i++ {
-		b.words[i] &^= o.words[i]
-		c += bits.OnesCount64(b.words[i])
-	}
-	for i := m; i < len(b.words); i++ {
-		c += bits.OnesCount64(b.words[i])
 	}
 	return c
 }

@@ -120,20 +120,6 @@ func (r *Relation) identityRows() []int {
 	return r.cols.identity
 }
 
-// catColumnIfBuilt peeks the projection cache for column pos without
-// triggering a full build; a projection that exists but lags appended rows
-// is extended so the returned snapshot always covers the current rows.
-func (r *Relation) catColumnIfBuilt(pos int) *CatColumn {
-	key := lower(r.schema.Attr(pos).Name)
-	rows := r.snapshot()
-	r.cols.mu.Lock()
-	defer r.cols.mu.Unlock()
-	if r.cols.cat[key] == nil {
-		return nil
-	}
-	return r.catColumnLocked(key, pos, rows)
-}
-
 // numSorted is the whole relation ordered by one numeric attribute.
 type numSorted struct {
 	rows []int
@@ -278,7 +264,11 @@ func (r *Relation) catColumnLocked(key string, pos int, rows []Tuple) *CatColumn
 		return e.col
 	}
 	n0, n := len(e.col.Codes), len(rows)
-	if n0 == n {
+	if n0 >= n {
+		// rows may be a snapshot loaded before another reader extended the
+		// column past it. Never publish a shorter column: extensions append
+		// at the end of the backing array, so every later row's code would
+		// land at the wrong position.
 		return e.col
 	}
 	// Collect values the sorted dictionary has never seen.
@@ -380,10 +370,17 @@ func (r *Relation) NumColumn(attr string) ([]float64, error) {
 	rows := r.snapshot()
 	r.cols.mu.Lock()
 	defer r.cols.mu.Unlock()
+	return r.numColumnLocked(key, pos, rows), nil
+}
+
+// numColumnLocked builds or extends the numeric projection to cover rows.
+// Called with cols.mu held.
+func (r *Relation) numColumnLocked(key string, pos int, rows []Tuple) []float64 {
 	e := r.cols.num[key]
 	n := len(rows)
-	if e != nil && len(e.col) == n {
-		return e.col, nil
+	if e != nil && len(e.col) >= n {
+		// As in catColumnLocked: a stale snapshot must not shrink the column.
+		return e.col
 	}
 	var backing []float64
 	n0 := 0
@@ -405,12 +402,12 @@ func (r *Relation) NumColumn(attr string) ([]float64, error) {
 		r.cols.num = make(map[string]*numEntry)
 	}
 	r.cols.num[key] = ne
-	return ne.col, nil
+	return ne.col
 }
 
 // BuildColumns eagerly materializes projections for the named attributes
 // (all attributes when none are given), so later concurrent readers never
-// pay the build inside a hot path. BuildIndex calls it for the same set.
+// pay the build inside a hot path.
 func (r *Relation) BuildColumns(attrs ...string) error {
 	if len(attrs) == 0 {
 		attrs = make([]string, r.schema.Len())
@@ -434,6 +431,23 @@ func (r *Relation) BuildColumns(attrs ...string) error {
 		}
 	}
 	return nil
+}
+
+// lower ASCII-lowercases an attribute name for the projection and zone-map
+// cache keys, returning s itself (no allocation) when it is already lower.
+func lower(s string) string {
+	b := []byte(s)
+	changed := false
+	for i, c := range b {
+		if c >= 'A' && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+			changed = true
+		}
+	}
+	if !changed {
+		return s
+	}
+	return string(b)
 }
 
 // dropColumns invalidates all cached projections. No longer on the Append

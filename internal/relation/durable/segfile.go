@@ -32,7 +32,10 @@ import (
 // about the in-memory global dictionary's remaps, and the sorted value list
 // doubles as the categorical zone map. Zone maps for numeric columns record
 // min/max over non-NaN values (as float bits — JSON cannot carry NaN/Inf),
-// mirroring zonemap.go's conservative semantics exactly.
+// mirroring zonemap.go's conservative semantics exactly. Nothing reads the
+// persisted zone maps yet — Relation() loads every surviving page and the
+// relation rebuilds its own — but they stay in the format, so existing
+// stores open unchanged and a lazy page source can prune with them.
 //
 // Spill is atomic per segment: write seg-….tmp, fsync, rename into place,
 // fsync the directory. The manifest flips to reference the segment only

@@ -3,10 +3,8 @@ package durable
 import (
 	"context"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -78,8 +76,8 @@ type Options struct {
 }
 
 // Quarantine records one segment excluded from service: its manifest span
-// and why. Quarantined rows are absent from Relation()/Select() results;
-// the surviving rows close ranks.
+// and why. Quarantined rows are absent from Relation()'s result; the
+// surviving rows close ranks.
 type Quarantine struct {
 	File   string `json:"file"`
 	Lo     int    `json:"lo"`
@@ -90,7 +88,7 @@ type Quarantine struct {
 // diskSegment is one manifest-listed segment file plus its lazily-loaded
 // state. The header (zone maps, page directory) loads on first touch —
 // eagerly at Open — and individual column pages load, checksum-verified, on
-// first map-in by a Select or materialization.
+// first map-in by Relation().
 type diskSegment struct {
 	meta segMeta
 
@@ -109,8 +107,8 @@ type diskSegment struct {
 
 // Store is a crash-consistent on-disk segment store. One writer (or any
 // number of read-only openers) per directory; Append/Sync/Close serialize
-// on an internal mutex, Select and Relation take snapshots under it and do
-// their page I/O outside.
+// on an internal mutex, Relation takes a snapshot under it and does its
+// page I/O outside.
 type Store struct {
 	dir    string
 	schema *relation.Schema
@@ -153,8 +151,6 @@ type Store struct {
 	bytesWritten atomic.Uint64
 	colLoads     atomic.Uint64
 	loadedBytes  atomic.Uint64
-	lazyPruned   atomic.Uint64
-	lazyScanned  atomic.Uint64
 }
 
 func (o *Options) normalize() {
@@ -705,191 +701,6 @@ func (s *Store) segmentTuples(seg *diskSegment) ([]relation.Tuple, bool) {
 	return out, true
 }
 
-// Select evaluates pred over the surviving rows without materializing the
-// dataset: per-segment zone maps (persisted in segment headers) prune
-// segments that provably cannot match, and only the surviving segments'
-// referenced column pages are read — checksum-verified on first map-in.
-// Results are indices into the surviving row sequence, i.e. positions in
-// the relation Relation() would build at the same quarantine state.
-func (s *Store) Select(pred relation.Predicate) ([]int, error) {
-	segs, tail, _ := s.snapshot()
-	conj, supported := flattenPred(pred)
-
-	idx := []int{}
-	base := 0 // surviving-row offset of the current segment
-	for _, seg := range segs {
-		rows := seg.meta.Hi - seg.meta.Lo
-		seg.mu.Lock()
-		bad := seg.bad
-		seg.mu.Unlock()
-		if bad {
-			continue
-		}
-		if supported {
-			match, err := s.selectSegment(seg, conj, base)
-			if err != nil {
-				continue // quarantined during load; rows drop out
-			}
-			idx = append(idx, match...)
-		} else {
-			tuples, ok := s.segmentTuples(seg)
-			if !ok {
-				continue
-			}
-			for i, t := range tuples {
-				if pred == nil || pred.Matches(s.schema, t) {
-					idx = append(idx, base+i)
-				}
-			}
-		}
-		base += rows
-	}
-	for i, t := range tail {
-		if pred == nil || pred.Matches(s.schema, t) {
-			idx = append(idx, base+i)
-		}
-	}
-	return idx, nil
-}
-
-// flattenPred decomposes pred into conjuncts the zone-pruned path can
-// evaluate columnar (True/In/Range, possibly under And). supported=false
-// falls back to whole-segment materialization + row-wise Matches.
-func flattenPred(pred relation.Predicate) ([]relation.Predicate, bool) {
-	switch p := pred.(type) {
-	case nil, relation.True:
-		return nil, true
-	case *relation.In, *relation.Range:
-		return []relation.Predicate{p}, true
-	case *relation.And:
-		out := make([]relation.Predicate, 0, len(p.Preds))
-		for _, q := range p.Preds {
-			sub, ok := flattenPred(q)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, sub...)
-		}
-		return out, true
-	}
-	return nil, false
-}
-
-// selectSegment evaluates the conjuncts over one segment: zone-prune
-// first, then load only the referenced columns and intersect row-wise.
-func (s *Store) selectSegment(seg *diskSegment, conj []relation.Predicate, base int) ([]int, error) {
-	hdr, err := s.ensureHeader(seg)
-	if err != nil {
-		return nil, err
-	}
-	rows := hdr.Hi - hdr.Lo
-	for _, p := range conj {
-		prune, empty := s.zonePrunes(hdr, p)
-		if empty {
-			return nil, nil // a conjunct no row anywhere can satisfy
-		}
-		if prune {
-			s.lazyPruned.Add(1)
-			return nil, nil
-		}
-	}
-	s.lazyScanned.Add(1)
-	keep := make([]bool, rows)
-	for i := range keep {
-		keep[i] = true
-	}
-	for _, p := range conj {
-		switch q := p.(type) {
-		case *relation.In:
-			a, _ := s.schema.Lookup(q.Attr)
-			col, err := s.ensureColumn(seg, a)
-			if err != nil {
-				return nil, err
-			}
-			member := make([]bool, len(col.dict))
-			for _, v := range q.SortedValues() {
-				if j := sort.SearchStrings(col.dict, v); j < len(col.dict) && col.dict[j] == v {
-					member[j] = true
-				}
-			}
-			for i, c := range col.codes {
-				keep[i] = keep[i] && member[c]
-			}
-		case *relation.Range:
-			a, _ := s.schema.Lookup(q.Attr)
-			col, err := s.ensureColumn(seg, a)
-			if err != nil {
-				return nil, err
-			}
-			for i, v := range col.nums {
-				// Mirrors Range.Matches exactly, NaN semantics included.
-				ok := !(v < q.Lo)
-				if q.HiInc {
-					ok = ok && v <= q.Hi
-				} else {
-					ok = ok && v < q.Hi
-				}
-				keep[i] = keep[i] && ok
-			}
-		}
-	}
-	var idx []int
-	for i, k := range keep {
-		if k {
-			idx = append(idx, base+i)
-		}
-	}
-	return idx, nil
-}
-
-// zonePrunes consults hdr's persisted zone map for conjunct p. prune means
-// this segment provably has no match; empty means no row in ANY segment
-// can match (the conjunct references a missing or mistyped attribute —
-// Matches would return false everywhere).
-func (s *Store) zonePrunes(hdr *segHeader, p relation.Predicate) (prune, empty bool) {
-	switch q := p.(type) {
-	case relation.True:
-		return false, false
-	case *relation.In:
-		a, ok := s.schema.Lookup(q.Attr)
-		if !ok || s.schema.Attr(a).Type != relation.Categorical {
-			return false, true
-		}
-		z := hdr.Zones[a]
-		for _, v := range q.SortedValues() {
-			if j := sort.SearchStrings(z.Vals, v); j < len(z.Vals) && z.Vals[j] == v {
-				return false, false
-			}
-		}
-		return true, false
-	case *relation.Range:
-		a, ok := s.schema.Lookup(q.Attr)
-		if !ok || s.schema.Attr(a).Type != relation.Numeric {
-			return false, true
-		}
-		z := hdr.Zones[a]
-		if !z.HasVal {
-			return true, false // all-NaN span: Range never matches NaN
-		}
-		min, max := math.Float64frombits(z.MinBits), math.Float64frombits(z.MaxBits)
-		if math.IsNaN(q.Hi) {
-			return true, false // v <= NaN / v < NaN is false for every v
-		}
-		if !math.IsNaN(q.Lo) && max < q.Lo {
-			return true, false
-		}
-		if q.HiInc {
-			if min > q.Hi {
-				return true, false
-			}
-		} else if min >= q.Hi {
-			return true, false
-		}
-		return false, false
-	}
-	return false, false
-}
-
 // Stats is the durability snapshot behind healthz's "durability" block.
 type Stats struct {
 	Generation  uint64 `json:"generation"`
@@ -913,8 +724,6 @@ type Stats struct {
 	WALRecords   uint64 `json:"walRecords"`
 	ColumnLoads  uint64 `json:"columnLoads"`
 	LoadedBytes  uint64 `json:"loadedBytes"`
-	LazyPruned   uint64 `json:"lazyPruned"`
-	LazyScanned  uint64 `json:"lazyScanned"`
 }
 
 // Stats returns a point-in-time durability snapshot.
@@ -950,7 +759,5 @@ func (s *Store) Stats() Stats {
 	st.WALRecords = s.walRecords.Load()
 	st.ColumnLoads = s.colLoads.Load()
 	st.LoadedBytes = s.loadedBytes.Load()
-	st.LazyPruned = s.lazyPruned.Load()
-	st.LazyScanned = s.lazyScanned.Load()
 	return st
 }

@@ -245,94 +245,6 @@ func TestOpenMissingStore(t *testing.T) {
 	}
 }
 
-// TestLazySelectLoadsOnlyReferencedColumns pins the out-of-core contract:
-// a selective Select on a reopened store must not page in every column of
-// every segment.
-func TestLazySelectLoadsOnlyReferencedColumns(t *testing.T) {
-	const n, segRows = 4096, 128
-	dir := t.TempDir()
-	st, err := Create(dir, testSchema(), Options{SegmentRows: segRows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ingest(st, 0, n); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	// One conjunct, one attribute: at most one column page per surviving
-	// segment may be loaded.
-	pred := relation.NewClosedRange("price", 250000, 250000)
-	mem := memRelation(t, n, segRows)
-	got, err := st2.Select(pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := mem.Select(pred); !sameInts(got, want) {
-		t.Fatalf("select returned %d rows, want %d", len(got), len(want))
-	}
-	stats := st2.Stats()
-	segs := n / segRows
-	if stats.ColumnLoads > uint64(segs) {
-		t.Errorf("one-attribute select loaded %d column pages over %d segments", stats.ColumnLoads, segs)
-	}
-	if stats.ColumnLoads == 0 {
-		t.Error("select loaded no columns at all — it cannot have evaluated anything")
-	}
-	var diskBytes uint64
-	ents, _ := os.ReadDir(dir)
-	for _, e := range ents {
-		if fi, err := e.Info(); err == nil {
-			diskBytes += uint64(fi.Size())
-		}
-	}
-	if stats.LoadedBytes*2 >= diskBytes {
-		t.Errorf("selective select loaded %d of %d on-disk bytes", stats.LoadedBytes, diskBytes)
-	}
-}
-
-// TestZonePruning pins that the persisted zone maps actually prune: a
-// range matching no segment must touch no column pages.
-func TestZonePruning(t *testing.T) {
-	const n, segRows = 2048, 128
-	dir := t.TempDir()
-	st, err := Create(dir, testSchema(), Options{SegmentRows: segRows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ingest(st, 0, n); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	// bedrooms spans 1..6 in every segment; price cannot prune here because
-	// the generator salts ±Inf rows into each segment's price column.
-	got, err := st2.Select(relation.NewRange("bedrooms", 100, 200))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Fatalf("impossible range matched %d rows", len(got))
-	}
-	stats := st2.Stats()
-	if stats.ColumnLoads != 0 {
-		t.Errorf("fully-prunable select loaded %d column pages", stats.ColumnLoads)
-	}
-	if stats.LazyPruned == 0 {
-		t.Error("no segments recorded as zone-pruned")
-	}
-}
-
 func TestAppendAfterFailureRejected(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Create(dir, testSchema(), Options{SegmentRows: 8})

@@ -41,15 +41,17 @@ func FuzzReadCSV(f *testing.F) {
 // schemas, random data (NaN, ±0, ±Inf included), random segment sizes, and
 // random conjunct sets (empty IN lists, unknown attributes, type
 // mismatches, NaN bounds) — the vectorized Select must return exactly the
-// same row ids as the naive row-wise scan, cold and warm, with and without
-// secondary indexes, and across mid-run appends that seal segments and
-// force conjunct/projection/index extension.
+// same row ids as the naive row-wise scan, cold and warm, and across mid-run
+// appends that seal segments and force conjunct/projection extension.
+//
+// The trailing bool argument is unused: it keeps the checked-in corpus
+// entries, which carry four values, loadable.
 func FuzzVectorizedSelect(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(50), false)
 	f.Add(int64(2), uint8(1), uint8(0), true)
 	f.Add(int64(3), uint8(4), uint8(200), true)
 	f.Add(int64(-9), uint8(2), uint8(130), false)
-	f.Fuzz(func(t *testing.T, seed int64, nAttrs, nRows uint8, buildIndex bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nAttrs, nRows uint8, _ bool) {
 		rng := rand.New(rand.NewSource(seed))
 		// Segment size and mid-run appends draw from their own stream so the
 		// main stream — and everything the checked-in corpus generates from
@@ -86,18 +88,13 @@ func FuzzVectorizedSelect(f *testing.F) {
 		for i := 0; i < int(nRows); i++ {
 			r.MustAppend(randTuple(rng))
 		}
-		if buildIndex {
-			if err := r.BuildIndex(); err != nil {
-				t.Fatal(err)
-			}
-		}
 		attrPool := append([]string{}, names[:len(attrs)]...)
 		attrPool = append(attrPool, "missing")
 		for trial := 0; trial < 10; trial++ {
 			if trial > 0 && segRng.Intn(3) == 0 {
-				// Mid-run appends: cached conjunct bitmaps, projections, and
-				// indexes built by earlier trials must extend, and may cross a
-				// seal boundary.
+				// Mid-run appends: cached conjunct bitmaps and projections
+				// built by earlier trials must extend, and may cross a seal
+				// boundary.
 				for k := segRng.Intn(3) + 1; k > 0; k-- {
 					r.MustAppend(randTuple(segRng))
 				}
@@ -129,10 +126,7 @@ func FuzzVectorizedSelect(f *testing.F) {
 				}
 			}
 			for pass := 0; pass < 2; pass++ { // cold, then conjunct-cache warm
-				got, ok := r.vectorSelect(pred)
-				if !ok {
-					t.Fatalf("vectorSelect rejected supported predicate %v", pred)
-				}
+				got := r.vectorSelect(pred)
 				if len(got) != len(want) {
 					t.Fatalf("pass %d: %v: got %d rows, want %d\ngot:  %v\nwant: %v",
 						pass, pred, len(got), len(want), got, want)

@@ -10,13 +10,22 @@ import (
 
 // Predicate is a boolean condition over a tuple. Category labels, query
 // selection conditions, and simulated user interests are all predicates.
+//
+// The interface is sealed: its unexported method means only this package's
+// True, *In, *Range, and *And implement it — exactly the conjunctive shapes
+// of the paper's SPJ queries (§4.2) and the shapes the vectorized engine
+// (vselect.go) evaluates, so Select has no row-wise fallback.
 type Predicate interface {
 	// Matches reports whether tuple t (under schema s) satisfies the
-	// predicate. Unknown attributes never match.
+	// predicate. Unknown attributes never match. This is the row-at-a-time
+	// definition; Select's bitmap engine reproduces it exactly.
 	Matches(s *Schema, t Tuple) bool
 	// String renders the predicate in the SQL-ish form used for category
 	// labels and query reconstruction.
 	String() string
+	// appendConjuncts appends the predicate's In/Range leaves to dst,
+	// flattening nested conjunctions and dropping TRUEs.
+	appendConjuncts(dst []Predicate) []Predicate
 }
 
 // True is the predicate satisfied by every tuple.
@@ -24,6 +33,8 @@ type True struct{}
 
 // Matches always reports true.
 func (True) Matches(*Schema, Tuple) bool { return true }
+
+func (True) appendConjuncts(dst []Predicate) []Predicate { return dst }
 
 // String renders the constant predicate.
 func (True) String() string { return "TRUE" }
@@ -64,20 +75,7 @@ func (p *In) SortedValues() []string {
 	return out
 }
 
-// Overlaps reports whether this predicate shares at least one value with
-// other, per the paper's overlap definition for categorical attributes.
-func (p *In) Overlaps(other *In) bool {
-	small, big := p.Values, other.Values
-	if len(big) < len(small) {
-		small, big = big, small
-	}
-	for v := range small {
-		if _, ok := big[v]; ok {
-			return true
-		}
-	}
-	return false
-}
+func (p *In) appendConjuncts(dst []Predicate) []Predicate { return append(dst, p) }
 
 // String renders `Attr IN ('a','b')`.
 func (p *In) String() string {
@@ -125,19 +123,7 @@ func (p *Range) Matches(s *Schema, t Tuple) bool {
 	return v < p.Hi
 }
 
-// Overlaps reports whether the two intervals intersect, per the paper's
-// overlap definition for numeric attributes.
-func (p *Range) Overlaps(other *Range) bool {
-	pHi, oHi := p.Hi, other.Hi
-	// Treat half-open upper bounds as excluding the endpoint.
-	if p.Lo > oHi || (p.Lo == oHi && !other.HiInc) {
-		return false
-	}
-	if other.Lo > pHi || (other.Lo == pHi && !p.HiInc) {
-		return false
-	}
-	return true
-}
+func (p *Range) appendConjuncts(dst []Predicate) []Predicate { return append(dst, p) }
 
 // String renders `Attr >= lo AND Attr < hi`, eliding infinite bounds.
 func (p *Range) String() string {
@@ -188,6 +174,13 @@ func (a *And) Matches(s *Schema, t Tuple) bool {
 		}
 	}
 	return true
+}
+
+func (a *And) appendConjuncts(dst []Predicate) []Predicate {
+	for _, p := range a.Preds {
+		dst = p.appendConjuncts(dst)
+	}
+	return dst
 }
 
 // String renders the conjuncts joined by AND.

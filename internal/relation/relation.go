@@ -7,7 +7,6 @@ package relation
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -134,12 +133,11 @@ type Tuple []Value
 //
 // Concurrency: readers never block. The row store is published RCU-style —
 // an immutable slice header behind an atomic pointer that every read
-// operation loads once — and writers (Append, Grow, BuildIndex) serialize on
-// an internal mutex, mutate a private copy or the spare capacity beyond the
-// published length, and publish with one atomic store. Readers racing a
-// writer keep whichever snapshot they loaded; row indices obtained from an
-// older snapshot stay valid against newer ones because rows are only ever
-// appended.
+// operation loads once — and writers (Append, Grow) serialize on an
+// internal mutex, mutate a private copy or the spare capacity beyond the
+// published length, and publish with one atomic store. Readers racing a writer keep whichever
+// snapshot they loaded; row indices obtained from an older snapshot stay
+// valid against newer ones because rows are only ever appended.
 type Relation struct {
 	Name   string
 	schema *Schema
@@ -147,10 +145,6 @@ type Relation struct {
 	// mu serializes writers; readers go through rows.Load() only.
 	mu   sync.Mutex
 	rows atomic.Pointer[[]Tuple]
-
-	// Secondary indexes (see index.go), published as one immutable set
-	// behind an atomic pointer; nil means "not indexed".
-	idx atomic.Pointer[indexSet]
 
 	// Cached columnar projections (see column.go); maintained incrementally
 	// across Appends — sealed spans are never rebuilt.
@@ -164,9 +158,9 @@ type Relation struct {
 	// conjunct-bitmap cache and the selection counters.
 	vsel vselState
 
-	// dataGen counts mutations; every Append increments it. Derived
-	// artifacts (conjunct bitmaps, memoized trees) are stamped with the
-	// generation they were built against.
+	// dataGen counts mutations; every Append increments it. Conjunct
+	// bitmaps and memoized trees are stamped with the generation they were
+	// built against.
 	dataGen atomic.Uint64
 }
 
@@ -202,10 +196,10 @@ func (r *Relation) Row(i int) Tuple { return r.snapshot()[i] }
 //
 // Append only touches the active tail of the segmented store (segment.go):
 // it bumps the data generation and seals any segment spans the tail now
-// covers. Nothing derived is invalidated — columnar projections, cached
-// conjunct bitmaps, and secondary indexes all extend over just the appended
-// rows on their next read (column.go, vselect.go, index.go), so per-row
-// maintenance cost is independent of the total row count.
+// covers. Nothing derived is invalidated — columnar projections and cached
+// conjunct bitmaps extend over just the appended rows on their next read
+// (column.go, vselect.go), so per-row maintenance cost is independent of the
+// total row count.
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation %s: tuple has %d cells, schema has %d", r.Name, len(t), r.schema.Len())
@@ -253,8 +247,8 @@ func (r *Relation) Grow(n int) {
 // projections and shared across calls — callers must not modify it.
 //
 // Non-nil predicates evaluate through the vectorized bitmap engine
-// (vselect.go) when every conjunct is a supported In/Range shape, and fall
-// back to the row-wise scan otherwise; the result is identical either way.
+// (vselect.go), the only selection code in the program: every Predicate is
+// an And/In/Range/True tree, exactly the shapes the engine evaluates.
 func (r *Relation) Select(pred Predicate) []int {
 	if pred == nil {
 		return r.identityRows()
@@ -264,107 +258,5 @@ func (r *Relation) Select(pred Predicate) []int {
 	r.vsel.selects.Add(1)
 	//lint:ignore hottime paired with the start read above; deliberate one-shot instrumentation
 	defer func() { r.vsel.nanos.Add(uint64(time.Since(start))) }()
-	if out, ok := r.vectorSelect(pred); ok {
-		r.vsel.vectorized.Add(1)
-		return out
-	}
-	r.vsel.fallback.Add(1)
-	return r.scanSelect(pred)
-}
-
-// scanSelect is the row-wise evaluation path: when a secondary index covers
-// one of the predicate's conjuncts, the scan is restricted to the index's
-// candidates; otherwise every tuple is tested through Predicate.Matches.
-func (r *Relation) scanSelect(pred Predicate) []int {
-	rows := r.snapshot()
-	if cands, ok := r.candidates(pred); ok {
-		out := make([]int, 0, len(cands))
-		for _, i := range cands {
-			if i >= len(rows) {
-				// The index extension raced an Append past our snapshot;
-				// candidates are sorted, so everything after is newer too.
-				break
-			}
-			if pred.Matches(r.schema, rows[i]) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	out := make([]int, 0, len(rows)/4+1)
-	for i, t := range rows {
-		if pred.Matches(r.schema, t) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// DistinctStrings returns the distinct categorical values of attribute attr
-// among the rows named by idx, sorted lexicographically. It returns an error
-// if attr is missing or not categorical.
-//
-// When the attribute's dictionary-coded projection is already built, the
-// distinct set is computed as code presence over the sorted value table —
-// no string hashing, and the dictionary order supplies the sort for free.
-// Without a built column the raw rows are hashed as before (building a
-// whole-relation projection just to answer a small idx would cost more).
-func (r *Relation) DistinctStrings(attr string, idx []int) ([]string, error) {
-	pos, ok := r.schema.Lookup(attr)
-	if !ok {
-		return nil, fmt.Errorf("relation %s: no attribute %q", r.Name, attr)
-	}
-	if r.schema.Attr(pos).Type != Categorical {
-		return nil, fmt.Errorf("relation %s: attribute %q is not categorical", r.Name, attr)
-	}
-	if col := r.catColumnIfBuilt(pos); col != nil {
-		present := make([]bool, len(col.Dict))
-		n := 0
-		for _, i := range idx {
-			if c := col.Codes[i]; !present[c] {
-				present[c] = true
-				n++
-			}
-		}
-		out := make([]string, 0, n)
-		for code, p := range present {
-			if p {
-				out = append(out, col.Dict[code]) // Dict is sorted ascending
-			}
-		}
-		return out, nil
-	}
-	rows := r.snapshot()
-	seen := make(map[string]struct{})
-	for _, i := range idx {
-		seen[rows[i][pos].Str] = struct{}{}
-	}
-	out := make([]string, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// NumRange returns the min and max numeric value of attribute attr among the
-// rows named by idx. ok is false when idx is empty or attr is not numeric.
-func (r *Relation) NumRange(attr string, idx []int) (lo, hi float64, ok bool) {
-	pos, found := r.schema.Lookup(attr)
-	if !found || r.schema.Attr(pos).Type != Numeric || len(idx) == 0 {
-		return 0, 0, false
-	}
-	rows := r.snapshot()
-	lo = rows[idx[0]][pos].Num
-	hi = lo
-	for _, i := range idx[1:] {
-		v := rows[i][pos].Num
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi, true
+	return r.vectorSelect(pred)
 }

@@ -171,43 +171,6 @@ func TestRangeHalfOpenVsClosed(t *testing.T) {
 	}
 }
 
-func TestInOverlaps(t *testing.T) {
-	a := NewIn("n", "x", "y")
-	b := NewIn("n", "y", "z")
-	c := NewIn("n", "w")
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("a and b share y; should overlap (symmetric)")
-	}
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Error("a and c are disjoint; should not overlap")
-	}
-}
-
-func TestRangeOverlaps(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b *Range
-		want bool
-	}{
-		{"disjoint", NewRange("p", 0, 10), NewRange("p", 20, 30), false},
-		{"nested", NewRange("p", 0, 100), NewRange("p", 20, 30), true},
-		{"touching-halfopen", NewRange("p", 0, 10), NewRange("p", 10, 20), false},
-		{"touching-closed", NewClosedRange("p", 0, 10), NewRange("p", 10, 20), true},
-		{"identical", NewRange("p", 5, 9), NewRange("p", 5, 9), true},
-		{"point-inside", NewClosedRange("p", 5, 5), NewRange("p", 0, 10), true},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := tc.a.Overlaps(tc.b); got != tc.want {
-				t.Errorf("Overlaps = %v; want %v", got, tc.want)
-			}
-			if got := tc.b.Overlaps(tc.a); got != tc.want {
-				t.Errorf("reverse Overlaps = %v; want %v (must be symmetric)", got, tc.want)
-			}
-		})
-	}
-}
-
 func TestPredicateStrings(t *testing.T) {
 	tests := []struct {
 		pred Predicate
@@ -243,44 +206,6 @@ func TestNewAndFlattens(t *testing.T) {
 	outer := NewAnd(inner, NewRange("b", 0, 1), nil)
 	if len(outer.Preds) != 2 {
 		t.Fatalf("flattened conjunction has %d conjuncts; want 2", len(outer.Preds))
-	}
-}
-
-func TestDistinctStrings(t *testing.T) {
-	r := homesRelation(t)
-	all := r.Select(nil)
-	got, err := r.DistinctStrings("neighborhood", all)
-	if err != nil {
-		t.Fatalf("DistinctStrings: %v", err)
-	}
-	want := []string{"Bellevue, WA", "Issaquah, WA", "Redmond, WA", "Seattle, WA"}
-	if len(got) != len(want) {
-		t.Fatalf("DistinctStrings = %v; want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("DistinctStrings = %v; want %v", got, want)
-		}
-	}
-	if _, err := r.DistinctStrings("price", all); err == nil {
-		t.Error("DistinctStrings over numeric attribute should error")
-	}
-	if _, err := r.DistinctStrings("nope", all); err == nil {
-		t.Error("DistinctStrings over missing attribute should error")
-	}
-}
-
-func TestNumRange(t *testing.T) {
-	r := homesRelation(t)
-	lo, hi, ok := r.NumRange("price", r.Select(nil))
-	if !ok || lo != 205000 || hi != 310000 {
-		t.Fatalf("NumRange = %v,%v,%v; want 205000,310000,true", lo, hi, ok)
-	}
-	if _, _, ok := r.NumRange("price", nil); ok {
-		t.Error("NumRange over empty index should report !ok")
-	}
-	if _, _, ok := r.NumRange("neighborhood", r.Select(nil)); ok {
-		t.Error("NumRange over categorical attribute should report !ok")
 	}
 }
 

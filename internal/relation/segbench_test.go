@@ -48,15 +48,15 @@ func segBenchRelation(tb testing.TB, n, segRows int) *Relation {
 }
 
 // BenchmarkSegmentAppendSteady measures the steady-state per-row Append cost
-// on relations preloaded to different sizes with columns, conjunct bitmaps,
-// and indexes all live. Sealing only touches the segment directory, so the
+// on relations preloaded to different sizes with columns and conjunct
+// bitmaps live. Sealing only touches the segment directory, so the
 // per-row cost must be independent of the total row count — this is the
 // number the drop-everything design made O(rows) to recover.
 func BenchmarkSegmentAppendSteady(b *testing.B) {
 	for _, n := range []int{10000, 100000, 1000000} {
 		b.Run(fmt.Sprintf("preload=%d", n), func(b *testing.B) {
 			r := segBenchRelation(b, n, 0)
-			if err := r.BuildIndex(); err != nil {
+			if err := r.BuildColumns(); err != nil {
 				b.Fatal(err)
 			}
 			if len(r.Select(segBenchSelective(n))) == 0 {
@@ -101,16 +101,16 @@ func segBenchUnselective(n int) Predicate {
 
 // BenchmarkSegmentAppendThenRead is the headline incremental-maintenance
 // number: one appended row followed by a warm multi-conjunct Select on a
-// preloaded 100k relation. mode=incremental is the live path — projections,
-// conjunct bitmaps, and indexes extend by exactly the appended suffix.
-// mode=dropEverything replays the pre-segment design by invalidating all
-// three after the append, so the Select pays full O(rows) rebuilds.
+// preloaded 100k relation. mode=incremental is the live path — projections
+// and conjunct bitmaps extend by exactly the appended suffix.
+// mode=dropEverything replays the pre-segment design by invalidating both
+// after the append, so the Select pays full O(rows) rebuilds.
 func BenchmarkSegmentAppendThenRead(b *testing.B) {
 	const n = 100000
 	for _, mode := range []string{"incremental", "dropEverything"} {
 		b.Run("rows=100000/mode="+mode, func(b *testing.B) {
 			r := segBenchRelation(b, n, 0)
-			if err := r.BuildIndex(); err != nil {
+			if err := r.BuildColumns(); err != nil {
 				b.Fatal(err)
 			}
 			// Narrower than segBenchSelective so the measured delta is the
@@ -130,7 +130,6 @@ func BenchmarkSegmentAppendThenRead(b *testing.B) {
 				if mode == "dropEverything" {
 					r.dropColumns()
 					r.dropConjuncts()
-					r.dropIndexes()
 				}
 				if len(r.Select(pred)) == 0 {
 					b.Fatal("empty selection")

@@ -26,11 +26,6 @@ import (
 // evaluating only rows past their previous coverage. The drop-everything
 // invalidation that made every Append cost O(total rows) on the next read is
 // gone; see column.go and vselect.go for the incremental paths.
-//
-// Secondary indexes (index.go) follow the same discipline: Append no longer
-// drops them; a set lagging the row count is extended on the next indexed
-// read by sorting only the appended suffix and merging it with the existing
-// sorted runs — the sealed prefix is reused, never re-sorted.
 
 // DefaultSegmentRows is the sealed-segment span when SetSegmentRows was not
 // called. A multiple of 64 keeps segment boundaries word-aligned in the

@@ -74,13 +74,10 @@ func (s Shard) Len() int { return s.Hi - s.Lo }
 // means the same value in every shard.
 func (s Shard) Codes(col *CatColumn) []uint32 { return col.Codes[s.Lo:s.Hi:s.Hi] }
 
-// NumSpan restricts a parent NumColumn to the span.
-func (s Shard) NumSpan(col []float64) []float64 { return col[s.Lo:s.Hi:s.Hi] }
-
 // Select returns the indices of the span's rows satisfying pred, in row
 // order, numbered in the parent relation's row space. The predicate is
-// evaluated once by the parent's selection engine (vectorized bitmaps,
-// conjunct cache, secondary indexes all apply); the sorted result is then
+// evaluated once by the parent's selection engine (vectorized bitmaps and
+// the conjunct cache apply); the sorted result is then
 // cut to [Lo, Hi), so k shards selecting the same predicate cost one
 // evaluation plus k binary searches — and their concatenation, shard by
 // shard, is exactly the parent's Select result.

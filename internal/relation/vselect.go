@@ -11,17 +11,15 @@ import (
 	"sync/atomic"
 )
 
-// Vectorized selection (DESIGN.md §9). Relation.Select's hot path evaluates
-// each conjunct of a WHERE clause directly over the columnar projections
+// Vectorized selection (DESIGN.md §9). Relation.Select evaluates each
+// conjunct of a WHERE clause directly over the columnar projections
 // (column.go) instead of tuple-at-a-time through Predicate.Matches, which
 // pays a schema lookup plus a map probe per row per conjunct:
 //
 //   - IN conjuncts resolve their member strings to dictionary codes once,
 //     then run a branch-light pass over the []uint32 code column testing
 //     membership in a code bitset;
-//   - Range conjuncts either scan the dense []float64 column or, when a
-//     sorted secondary index exists and the interval is selective, slice the
-//     index with two binary searches and set the covered rows;
+//   - Range conjuncts scan the dense []float64 column;
 //   - each conjunct materializes as a word-packed Bitmap; conjuncts combine
 //     cheapest-selectivity-first with word-wise AND, and the final bitmap
 //     unpacks to the ascending row list the categorizer consumes.
@@ -41,9 +39,9 @@ import (
 // conjunct is skipped outright, and the surviving spans are scanned with
 // word-aligned OR kernels.
 //
-// Predicate shapes the engine does not understand (anything beyond
-// And/In/Range/True) fall back to the row-wise scan, so results are always
-// identical to the naive path.
+// The Predicate interface is sealed (predicate.go): every predicate is an
+// And/In/Range/True tree, so this engine is the only selection path and its
+// results are exactly Predicate.Matches'.
 
 // maxConjunctBitmaps bounds the per-relation conjunct-bitmap cache. At the
 // paper's 20k-row scale one bitmap is ~2.5 KiB, so the cache tops out around
@@ -54,19 +52,11 @@ const maxConjunctBitmaps = 128
 // out across GOMAXPROCS goroutines in word-aligned chunks.
 const parallelScanRows = 16384
 
-// sortedIndexMaxFrac: the sorted-index path is chosen when the interval
-// covers at most 1/sortedIndexMaxFrac of the rows; wider intervals scan the
-// dense column sequentially instead of scattering writes.
-const sortedIndexMaxFrac = 4
-
 // SelectStats is a point-in-time snapshot of a relation's selection
 // counters, surfaced through the server's healthz endpoint.
 type SelectStats struct {
-	// Selects counts non-nil-predicate Select calls; Vectorized and
-	// Fallback split them by evaluation path.
-	Selects    uint64 `json:"selects"`
-	Vectorized uint64 `json:"vectorized"`
-	Fallback   uint64 `json:"fallback"`
+	// Selects counts non-nil-predicate Select calls.
+	Selects uint64 `json:"selects"`
 	// SelectNanos is the cumulative wall time spent inside Select.
 	SelectNanos uint64 `json:"selectNanos"`
 	// ConjunctHits / ConjunctMisses count conjunct-bitmap cache lookups;
@@ -87,13 +77,11 @@ type vselState struct {
 	//lint:guardedby mu
 	table map[string]*list.Element
 
-	selects    atomic.Uint64
-	vectorized atomic.Uint64
-	fallback   atomic.Uint64
-	nanos      atomic.Uint64
-	hits       atomic.Uint64
-	misses     atomic.Uint64
-	extended   atomic.Uint64
+	selects  atomic.Uint64
+	nanos    atomic.Uint64
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	extended atomic.Uint64
 }
 
 // conjEntry is one cached conjunct bitmap. gen stamps the relation data
@@ -111,8 +99,6 @@ type conjEntry struct {
 func (r *Relation) SelectStats() SelectStats {
 	s := SelectStats{
 		Selects:          r.vsel.selects.Load(),
-		Vectorized:       r.vsel.vectorized.Load(),
-		Fallback:         r.vsel.fallback.Load(),
 		SelectNanos:      r.vsel.nanos.Load(),
 		ConjunctHits:     r.vsel.hits.Load(),
 		ConjunctMisses:   r.vsel.misses.Load(),
@@ -127,9 +113,8 @@ func (r *Relation) SelectStats() SelectStats {
 }
 
 // DataGeneration returns the relation's mutation counter: it increments on
-// every Append, so derived artifacts (projections, indexes, conjunct
-// bitmaps, memoized trees) can be stamped against the data they were built
-// from.
+// every Append, so derived artifacts (conjunct bitmaps, memoized trees) can
+// be stamped against the data they were built from.
 func (r *Relation) DataGeneration() uint64 { return r.dataGen.Load() }
 
 // dropConjuncts empties the conjunct-bitmap cache. No longer on the Append
@@ -144,41 +129,30 @@ func (r *Relation) dropConjuncts() {
 	r.vsel.mu.Unlock()
 }
 
-// vectorSelect evaluates pred through the vectorized engine. ok is false
-// when the predicate contains a shape the engine does not support; the
-// caller then falls back to the row-wise scan. When ok, rows is exactly the
-// ascending row list the naive scan would produce.
-func (r *Relation) vectorSelect(pred Predicate) (rows []int, ok bool) {
-	conjs, ok := flattenConjuncts(pred, nil)
-	if !ok {
-		return nil, false
-	}
+// vectorSelect evaluates pred through the vectorized engine, returning
+// exactly the ascending row list a row-wise Predicate.Matches scan would.
+func (r *Relation) vectorSelect(pred Predicate) []int {
+	conjs := pred.appendConjuncts(nil)
 	if len(conjs) == 0 {
 		// TRUE / empty conjunction: every row matches. Copy the cached
 		// identity so the caller still owns its slice.
 		id := r.identityRows()
 		out := make([]int, len(id))
 		copy(out, id)
-		return out, true
+		return out
 	}
 	bms := make([]*conjEntry, 0, len(conjs))
 	for _, c := range conjs {
-		e, supported := r.conjunctBitmap(c)
-		if !supported {
-			return nil, false
-		}
-		if e == nil {
-			// The conjunct references a missing or mistyped attribute:
+		e := r.conjunctBitmap(c)
+		if e == nil || e.count == 0 {
+			// A nil entry references a missing or mistyped attribute:
 			// Matches rejects every row, so the selection is empty.
-			return []int{}, true
-		}
-		if e.count == 0 {
-			return []int{}, true
+			return []int{}
 		}
 		bms = append(bms, e)
 	}
 	if len(bms) == 1 {
-		return bms[0].bm.Rows(), true
+		return bms[0].bm.Rows()
 	}
 	// AND cheapest-selectivity-first: starting from the sparsest bitmap
 	// keeps the running intersection small and lets an empty intermediate
@@ -189,55 +163,30 @@ func (r *Relation) vectorSelect(pred Predicate) (rows []int, ok bool) {
 	for _, e := range bms[1:] {
 		n = res.And(e.bm)
 		if n == 0 {
-			return []int{}, true
+			return []int{}
 		}
 	}
-	return res.AppendRows(make([]int, 0, n)), true
+	return res.AppendRows(make([]int, 0, n))
 }
 
-// flattenConjuncts decomposes pred into its And-flattened conjunct list,
-// dropping TRUEs. ok is false when any piece is not an In, Range, And, or
-// True.
-func flattenConjuncts(pred Predicate, dst []Predicate) ([]Predicate, bool) {
-	switch p := pred.(type) {
-	case True:
-		return dst, true
-	case *In, *Range:
-		return append(dst, pred), true
-	case *And:
-		var ok bool
-		for _, c := range p.Preds {
-			if dst, ok = flattenConjuncts(c, dst); !ok {
-				return nil, false
-			}
-		}
-		return dst, true
-	default:
-		return nil, false
-	}
-}
-
-// conjunctBitmap returns the conjunct's bitmap entry, from the cache when
-// possible. supported is false for predicate kinds the engine cannot
-// evaluate; a nil entry with supported=true means the conjunct can never
-// match (missing or mistyped attribute).
-func (r *Relation) conjunctBitmap(c Predicate) (e *conjEntry, supported bool) {
+// conjunctBitmap returns the In or Range conjunct's bitmap entry, from the
+// cache when possible. A nil entry means the conjunct can never match
+// (missing or mistyped attribute).
+func (r *Relation) conjunctBitmap(c Predicate) *conjEntry {
 	var sig string
 	switch p := c.(type) {
 	case *In:
 		pos, ok := r.schema.Lookup(p.Attr)
 		if !ok || r.schema.Attr(pos).Type != Categorical {
-			return nil, true
+			return nil
 		}
 		sig = inSignature(p)
 	case *Range:
 		pos, ok := r.schema.Lookup(p.Attr)
 		if !ok || r.schema.Attr(pos).Type != Numeric {
-			return nil, true
+			return nil
 		}
 		sig = rangeSignature(p)
-	default:
-		return nil, false
 	}
 	// The generation is read BEFORE the column snapshot inside the builder:
 	// if an Append races the build, the entry is stamped with the older
@@ -248,7 +197,7 @@ func (r *Relation) conjunctBitmap(c Predicate) (e *conjEntry, supported bool) {
 	prevE := r.lookupConjunct(sig)
 	if prevE != nil && prevE.gen == gen {
 		r.vsel.hits.Add(1)
-		return prevE, true
+		return prevE
 	}
 	var prev *Bitmap
 	if prevE != nil {
@@ -264,9 +213,9 @@ func (r *Relation) conjunctBitmap(c Predicate) (e *conjEntry, supported bool) {
 	case *Range:
 		bm = r.buildRangeBitmap(p, prev)
 	}
-	e = &conjEntry{sig: sig, bm: bm, count: bm.Count(), gen: gen}
+	e := &conjEntry{sig: sig, bm: bm, count: bm.Count(), gen: gen}
 	r.insertConjunct(e)
-	return e, true
+	return e
 }
 
 // lookupConjunct returns the signature's entry regardless of generation
@@ -373,44 +322,12 @@ func (r *Relation) buildInBitmap(p *In, prev *Bitmap) *Bitmap {
 	return bm
 }
 
-// buildRangeBitmap evaluates a Range conjunct. On a cold build, when a
-// sorted secondary index exists, the column is NaN-free, the bounds are
-// well-ordered, and the interval is selective, two binary searches slice
-// the index and the covered rows are set directly. Otherwise the dense
-// []float64 column is scanned, replicating Range.Matches' comparisons
-// exactly (NaN values and NaN bounds included) — skipping sealed segments
-// whose min/max zone proves no row can match, and, with a prev bitmap,
-// evaluating only rows past its coverage.
+// buildRangeBitmap evaluates a Range conjunct over the dense []float64
+// column, replicating Range.Matches' comparisons exactly (NaN values and
+// NaN bounds included) — skipping sealed segments whose min/max zone proves
+// no row can match, and, with a prev bitmap, evaluating only rows past its
+// coverage.
 func (r *Relation) buildRangeBitmap(p *Range, prev *Bitmap) *Bitmap {
-	if prev == nil {
-		var idx *numIndex
-		// Peek only: an index set lagging appended rows would slice to a
-		// short universe, so the dense path takes over until candidates (or
-		// BuildIndex) brings the set current.
-		if set := r.indexes(); set != nil && set.n >= r.Len() {
-			idx = set.num[lower(p.Attr)]
-		}
-		if idx != nil && !idx.hasNaN &&
-			!math.IsNaN(p.Lo) && !math.IsNaN(p.Hi) {
-			lo := sort.SearchFloat64s(idx.vals, p.Lo)
-			var hi int
-			if p.HiInc {
-				hi = sort.Search(len(idx.vals), func(i int) bool { return idx.vals[i] > p.Hi })
-			} else {
-				hi = sort.SearchFloat64s(idx.vals, p.Hi)
-			}
-			if hi < lo {
-				hi = lo
-			}
-			if (hi-lo)*sortedIndexMaxFrac <= len(idx.vals) {
-				bm := NewBitmap(len(idx.vals))
-				for _, row := range idx.rows[lo:hi] {
-					bm.Set(row)
-				}
-				return bm
-			}
-		}
-	}
 	col, err := r.NumColumn(p.Attr)
 	if err != nil {
 		// Unreachable: the caller validated the attribute.

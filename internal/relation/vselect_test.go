@@ -9,8 +9,28 @@ import (
 	"testing"
 )
 
+// relationOfSize builds an n-row relation on the home-listing shape from a
+// seeded generator.
+func relationOfSize(n int, seed int64) *Relation {
+	rng := rand.New(rand.NewSource(seed))
+	r := New("homes", MustSchema(
+		Attribute{Name: "neighborhood", Type: Categorical},
+		Attribute{Name: "price", Type: Numeric},
+		Attribute{Name: "bedrooms", Type: Numeric},
+	))
+	hoods := []string{"Bellevue, WA", "Redmond, WA", "Seattle, WA", "Issaquah, WA"}
+	for i := 0; i < n; i++ {
+		r.MustAppend(Tuple{
+			StringValue(hoods[rng.Intn(len(hoods))]),
+			NumberValue(float64(200000 + rng.Intn(50)*5000)),
+			NumberValue(float64(1 + rng.Intn(6))),
+		})
+	}
+	return r
+}
+
 // selectReference is the trusted oracle: the plain tuple-at-a-time scan with
-// no index, no columns, no bitmaps.
+// no columns and no bitmaps.
 func selectReference(r *Relation, pred Predicate) []int {
 	out := []int{}
 	for i := 0; i < r.Len(); i++ {
@@ -39,9 +59,11 @@ func TestBitmapBasics(t *testing.T) {
 		if b.Count() != 0 || b.Len() != n {
 			t.Fatalf("n=%d: fresh bitmap count=%d len=%d", n, b.Count(), b.Len())
 		}
-		b.SetAll()
+		for i := 0; i < n; i++ {
+			b.Set(i)
+		}
 		if b.Count() != n {
-			t.Fatalf("n=%d: SetAll count=%d", n, b.Count())
+			t.Fatalf("n=%d: all-set count=%d", n, b.Count())
 		}
 		rows := b.Rows()
 		if len(rows) != n {
@@ -80,13 +102,6 @@ func TestBitmapBasics(t *testing.T) {
 	if got := c.Rows(); !reflect.DeepEqual(got, []int{63, 64}) {
 		t.Fatalf("And rows = %v", got)
 	}
-	c2 := b.Clone()
-	if n := c2.AndNot(o); n != 5 {
-		t.Fatalf("AndNot count = %d, want 5", n)
-	}
-	if got := c2.Rows(); !reflect.DeepEqual(got, []int{0, 1, 127, 128, 199}) {
-		t.Fatalf("AndNot rows = %v", got)
-	}
 	// Clone independence.
 	if b.Count() != 7 {
 		t.Fatalf("source bitmap mutated by clone ops: count=%d", b.Count())
@@ -94,76 +109,40 @@ func TestBitmapBasics(t *testing.T) {
 }
 
 // TestVectorSelectMatchesReference drives the vectorized engine across the
-// supported conjunct shapes — with and without secondary indexes — and
-// checks exact row-list equality with the naive scan, twice per predicate so
-// the warm (conjunct-cache hit) path is verified too.
+// conjunct shapes and checks exact row-list equality with the naive scan,
+// twice per predicate so the warm (conjunct-cache hit) path is verified too.
 func TestVectorSelectMatchesReference(t *testing.T) {
-	for _, indexed := range []bool{false, true} {
-		r := relationOfSize(700, 11)
-		if indexed {
-			if err := r.BuildIndex(); err != nil {
-				t.Fatal(err)
-			}
+	r := relationOfSize(700, 11)
+	preds := []Predicate{
+		NewIn("neighborhood", "Seattle, WA"),
+		NewIn("neighborhood", "Seattle, WA", "Bellevue, WA", "Nowhere"),
+		NewIn("NEIGHBORHOOD", "Issaquah, WA"), // case-insensitive attr
+		NewIn("neighborhood"),                 // empty IN list
+		NewIn("missing", "x"),                 // unknown attribute
+		NewIn("price", "200000"),              // type mismatch
+		NewRange("price", 210000, 300000),
+		NewClosedRange("price", 210000, 300000),
+		NewRange("price", math.Inf(-1), 250000),
+		NewClosedRange("price", 250000, math.Inf(1)),
+		NewClosedRange("price", 300000, 200000), // empty interval
+		NewClosedRange("bedrooms", 2, 4),
+		NewRange("missing", 0, 1),
+		NewRange("neighborhood", 0, 1), // type mismatch
+		NewAnd(NewIn("neighborhood", "Seattle, WA", "Redmond, WA"), NewClosedRange("price", 220000, 340000)),
+		NewAnd(NewIn("neighborhood", "Seattle, WA"), NewClosedRange("price", 220000, 340000), NewClosedRange("bedrooms", 1, 3)),
+		NewAnd(), // empty conjunction = TRUE
+		NewAnd(True{}, NewClosedRange("bedrooms", 2, 2)),
+		NewAnd(NewRange("price", 200000, 260000), NewRange("price", 240000, 320000)), // same attr twice
+	}
+	for _, pred := range preds {
+		want := selectReference(r, pred)
+		for pass := 0; pass < 2; pass++ {
+			sameRows(t, r.vectorSelect(pred), want, pred.String())
+			sameRows(t, r.Select(pred), want, "Select: "+pred.String())
 		}
-		preds := []Predicate{
-			NewIn("neighborhood", "Seattle, WA"),
-			NewIn("neighborhood", "Seattle, WA", "Bellevue, WA", "Nowhere"),
-			NewIn("NEIGHBORHOOD", "Issaquah, WA"), // case-insensitive attr
-			NewIn("neighborhood"),                 // empty IN list
-			NewIn("missing", "x"),                 // unknown attribute
-			NewIn("price", "200000"),              // type mismatch
-			NewRange("price", 210000, 300000),
-			NewClosedRange("price", 210000, 300000),
-			NewRange("price", math.Inf(-1), 250000),
-			NewClosedRange("price", 250000, math.Inf(1)),
-			NewClosedRange("price", 300000, 200000), // empty interval
-			NewClosedRange("bedrooms", 2, 4),
-			NewRange("missing", 0, 1),
-			NewRange("neighborhood", 0, 1), // type mismatch
-			NewAnd(NewIn("neighborhood", "Seattle, WA", "Redmond, WA"), NewClosedRange("price", 220000, 340000)),
-			NewAnd(NewIn("neighborhood", "Seattle, WA"), NewClosedRange("price", 220000, 340000), NewClosedRange("bedrooms", 1, 3)),
-			NewAnd(), // empty conjunction = TRUE
-			NewAnd(True{}, NewClosedRange("bedrooms", 2, 2)),
-			NewAnd(NewRange("price", 200000, 260000), NewRange("price", 240000, 320000)), // same attr twice
-		}
-		for _, pred := range preds {
-			want := selectReference(r, pred)
-			for pass := 0; pass < 2; pass++ {
-				got, ok := r.vectorSelect(pred)
-				if !ok {
-					t.Fatalf("indexed=%v: vectorSelect rejected supported predicate %v", indexed, pred)
-				}
-				sameRows(t, got, want, pred.String())
-				sameRows(t, r.Select(pred), want, "Select: "+pred.String())
-			}
-		}
-		// True alone goes through Select's nil-free path too.
-		sameRows(t, r.Select(True{}), selectReference(r, True{}), "TRUE")
 	}
-}
-
-// TestVectorSelectFallback pins the fallback rule: a predicate kind the
-// engine does not know must be rejected and answered by the row-wise scan.
-type oddPred struct{}
-
-func (oddPred) Matches(s *Schema, t Tuple) bool { return false }
-func (oddPred) String() string                  { return "ODD" }
-
-func TestVectorSelectFallback(t *testing.T) {
-	r := relationOfSize(50, 3)
-	if _, ok := r.vectorSelect(oddPred{}); ok {
-		t.Fatal("vectorSelect accepted an unknown predicate kind")
-	}
-	if _, ok := r.vectorSelect(NewAnd(NewIn("neighborhood", "Seattle, WA"), oddPred{})); ok {
-		t.Fatal("vectorSelect accepted a conjunction containing an unknown kind")
-	}
-	before := r.SelectStats().Fallback
-	if got := r.Select(oddPred{}); len(got) != 0 {
-		t.Fatalf("fallback select = %v", got)
-	}
-	if after := r.SelectStats().Fallback; after != before+1 {
-		t.Fatalf("fallback counter %d -> %d", before, after)
-	}
+	// True alone goes through Select's nil-free path too.
+	sameRows(t, r.Select(True{}), selectReference(r, True{}), "TRUE")
 }
 
 // TestConjunctCacheHitMissEviction exercises the bounded LRU: repeated
@@ -212,14 +191,11 @@ func TestConjunctCacheHitMissEviction(t *testing.T) {
 
 // TestAppendExtendsEverything is the incremental-maintenance regression
 // test (DESIGN.md §14): Append must bump the data generation but must NOT
-// drop projections, indexes, the identity list, or cached conjunct bitmaps
+// drop projections, the identity list, or cached conjunct bitmaps
 // — every derived artifact extends over just the appended rows on its next
 // read, and results stay exactly correct.
 func TestAppendExtendsEverything(t *testing.T) {
 	r := relationOfSize(120, 9)
-	if err := r.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
 	pred := NewAnd(NewIn("neighborhood", "Bellevue, WA"), NewClosedRange("price", 200000, 400000))
 	id := r.Select(nil)
 	if len(id) != 120 {
@@ -240,12 +216,15 @@ func TestAppendExtendsEverything(t *testing.T) {
 	if r.DataGeneration() != gen+1 {
 		t.Fatalf("data generation %d, want %d", r.DataGeneration(), gen+1)
 	}
-	if !r.Indexed("price") || !r.Indexed("neighborhood") {
-		t.Fatal("Append must not drop secondary indexes")
-	}
-	col := r.catColumnIfBuilt(0)
-	if col == nil {
+	r.cols.mu.Lock()
+	cached := r.cols.cat["neighborhood"]
+	r.cols.mu.Unlock()
+	if cached == nil {
 		t.Fatal("Append must not drop columnar projections")
+	}
+	col, err := r.CatColumn("neighborhood")
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(col.Codes) != 121 {
 		t.Fatalf("projection not extended over the appended row: %d codes", len(col.Codes))
@@ -272,45 +251,48 @@ func TestAppendExtendsEverything(t *testing.T) {
 		t.Fatalf("stale conjuncts should extend, got %d extensions (was %d): %+v", s.ConjunctExtended, ext, s)
 	}
 	sameRows(t, r.Select(pred), want, "post-append warm")
-	if err := r.BuildIndex(); err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, r.Select(pred), want, "post-append post-rebuild")
 }
 
-// TestDistinctStringsDictionaryPath checks the code-presence fast path
-// against the map fallback, including subset idx lists.
-func TestDistinctStringsDictionaryPath(t *testing.T) {
-	r := relationOfSize(200, 13)
-	idx := []int{0, 5, 9, 44, 101, 150, 199}
-	slow, err := r.DistinctStrings("neighborhood", idx) // no column yet: map path
-	if err != nil {
-		t.Fatal(err)
+// TestStaleSnapshotNeverShrinksColumns: a reader that loaded its row
+// snapshot before an Append can reach the projection cache after another
+// reader extended it past that snapshot. It must get the longer column, not
+// publish a shorter one — extensions append at the end of the backing
+// array, so a shrunk publish misaligns every later row's code or value.
+func TestStaleSnapshotNeverShrinksColumns(t *testing.T) {
+	r := relationOfSize(100, 3)
+	more := relationOfSize(60, 4)
+	stale := r.snapshot()
+	for i := 0; i < 30; i++ {
+		r.MustAppend(more.Row(i))
 	}
 	if _, err := r.CatColumn("neighborhood"); err != nil {
 		t.Fatal(err)
 	}
-	fast, err := r.DistinctStrings("neighborhood", idx) // dictionary path
+	if _, err := r.NumColumn("price"); err != nil {
+		t.Fatal(err)
+	}
+	r.cols.mu.Lock()
+	cat := r.catColumnLocked("neighborhood", 0, stale)
+	num := r.numColumnLocked("price", 1, stale)
+	r.cols.mu.Unlock()
+	if len(cat.Codes) != 130 || len(num) != 130 {
+		t.Fatalf("stale snapshot shrank the columns to %d codes, %d values; want 130", len(cat.Codes), len(num))
+	}
+	for i := 30; i < 60; i++ {
+		r.MustAppend(more.Row(i))
+	}
+	col, err := r.CatColumn("neighborhood")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(slow, fast) {
-		t.Fatalf("dictionary path %v != map path %v", fast, slow)
-	}
-	all, err := r.DistinctStrings("neighborhood", r.Select(nil))
+	prices, err := r.NumColumn("price")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(all); i++ {
-		if all[i] <= all[i-1] {
-			t.Fatalf("distinct values not sorted: %v", all)
+	for i := 0; i < r.Len(); i++ {
+		if col.Value(i) != r.Row(i)[0].Str || prices[i] != r.Row(i)[1].Num {
+			t.Fatalf("row %d: projected (%q, %v), stored (%q, %v)", i, col.Value(i), prices[i], r.Row(i)[0].Str, r.Row(i)[1].Num)
 		}
-	}
-	if _, err := r.DistinctStrings("price", idx); err == nil {
-		t.Fatal("numeric attribute must error")
-	}
-	if _, err := r.DistinctStrings("nope", idx); err == nil {
-		t.Fatal("missing attribute must error")
 	}
 }
 
@@ -385,12 +367,12 @@ func TestVectorSelectConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSelectStatsTiming checks the wall-time and path counters move.
+// TestSelectStatsTiming checks the wall-time and select counters move.
 func TestSelectStatsTiming(t *testing.T) {
 	r := relationOfSize(500, 29)
 	r.Select(NewIn("neighborhood", "Seattle, WA"))
 	s := r.SelectStats()
-	if s.Selects != 1 || s.Vectorized != 1 {
+	if s.Selects != 1 {
 		t.Fatalf("counters: %+v", s)
 	}
 	if s.SelectNanos == 0 {

@@ -266,9 +266,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			body["warmer"] = ws
 		}
 	}
-	// Selection-engine counters (DESIGN.md §9): vectorized vs fallback path
-	// counts, cumulative Select wall time, and the conjunct-bitmap cache's
-	// hits/misses/occupancy.
+	// Selection-engine counters (DESIGN.md §9): select count, cumulative
+	// Select wall time, and the conjunct-bitmap cache's
+	// hits/misses/extensions/occupancy.
 	body["select"] = sys.SelectStats()
 	// Segmented-storage counters (DESIGN.md §14): sealed segments and bytes,
 	// tail occupancy, seal count, and zone-map segments pruned vs scanned.

@@ -149,8 +149,8 @@ func (s *System) RepairStats() RepairStats {
 }
 
 // SelectStats is a point-in-time snapshot of the relation's selection
-// counters: vectorized vs fallback path counts, cumulative selection time,
-// and the conjunct-bitmap cache's hit/miss/occupancy (DESIGN.md §9).
+// counters: select count, cumulative selection time, and the conjunct-bitmap
+// cache's hit/miss/extension/occupancy (DESIGN.md §9).
 type SelectStats = relation.SelectStats
 
 // SelectStats returns the base relation's selection counters. For an
@@ -494,11 +494,11 @@ func (s *System) cacheKey(q *Query, tech Technique, opts Options) string {
 // repair nothing.
 func (s *System) cacheBaseKey(q *Query, tech Technique, opts Options) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%d|%d|%s|%s|%d|%d|%s|%t|%t|%d|%d|%t|%t|%d|%d|%s",
+	fmt.Fprintf(h, "%d|%d|%s|%s|%d|%d|%s|%t|%t|%d|%d|%t|%d|%d|%s",
 		tech, opts.M, relation.SigNum(opts.K), relation.SigNum(opts.X),
 		opts.MaxBuckets, opts.MinBucket, relation.SigNum(opts.Frac),
 		opts.AutoBuckets, opts.EquiDepth, opts.MaxZeroCandidates, opts.MaxLevels,
-		opts.Parallel, opts.CandidateAttrs != nil, opts.MaxCategories, opts.MinCondSupport,
+		opts.CandidateAttrs != nil, opts.MaxCategories, opts.MinCondSupport,
 		strings.Join(opts.CandidateAttrs, "\x1f"))
 	return fmt.Sprintf("%s\x1e%x\x1e%d", q.Signature(), h.Sum64(), s.rel.DataGeneration())
 }

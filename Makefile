@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-all servebench selectbench shardbench warmbench segmentbench check chaos crashchaos report examples fuzz lint lint-selfcheck lint-perf ci clean
+.PHONY: all build test race bench bench-all servebench selectbench shardbench warmbench segmentbench perfbench check chaos crashchaos report examples fuzz lint lint-selfcheck lint-perf ci clean
 
 all: build test
 
@@ -157,6 +157,16 @@ warmbench:
 		  -o BENCH_warm.json
 	@echo wrote BENCH_warm.json
 
+# The end-to-end serving benchmark (perfbench/, BENCHMARK.json): one
+# workload over loopback HTTP, printing its metrics as one JSON line. TRACE=1
+# runs the traced per-layer split instead. Builds into .bench_build/.
+WORKLOAD ?= hot_hits
+SEED ?= 1
+SECONDS ?= 30
+TRACE ?= 0
+perfbench:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
+
 # The full formatted evaluation report at paper scale.
 report:
 	go run ./cmd/benchrunner -out experiments_report.txt -json experiments_report.json
@@ -179,3 +189,4 @@ fuzz:
 clean:
 	rm -f experiments_report.txt experiments_report.json test_output.txt bench_output.txt servebench_output.txt selectbench_output.txt shardbench_output.txt warmbench_output.txt segmentbench_output.txt
 	rm -f catlint catlint.json lint_output.txt
+	rm -rf .bench_build

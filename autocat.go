@@ -157,8 +157,10 @@ type Config struct {
 	// tree cache (DESIGN.md §8): semantically identical queries (canonical
 	// signature) with the same technique, options, and stats generation are
 	// served the same *Tree, and concurrent identical misses collapse into
-	// one categorization. Both zero disables caching. A zero bound on one
-	// dimension leaves that dimension unbounded.
+	// one categorization. TreeCacheBytes counts each entry's tree, its build
+	// trace and its memoized response body (RenderMemo) together. Both zero
+	// disables caching. A zero bound on one dimension leaves that dimension
+	// unbounded.
 	TreeCacheEntries int
 	TreeCacheBytes   int64
 	// Durable is the crash-consistent segment store backing rel, when the
@@ -365,19 +367,21 @@ func (r *Result) CategorizeWith(tech Technique, opts Options) (*Tree, error) {
 // concurrent identical misses collapse into one computation.
 func (r *Result) CategorizeCtx(ctx context.Context, tech Technique, opts Options) (*Tree, error) {
 	if r.sys.cache.Enabled() && r.Query != nil {
-		v, _, err := r.sys.cache.DoStale(ctx,
-			r.sys.cacheKey(r.Query, tech, opts), r.sys.cacheBaseKey(r.Query, tech, opts),
+		key := r.sys.cacheKey(r.Query, tech, opts)
+		v, _, err := r.sys.cache.DoStale(ctx, key, r.sys.cacheBaseKey(r.Query, tech, opts),
 			func(cctx context.Context, stale served, haveStale bool) (served, int64, bool, error) {
 				if haveStale {
 					if tree, ok := r.sys.repairFromStale(cctx, r.Query, stale, tech, opts); ok {
-						return served{tree, DegradeNone, r.sys.stats}, treeBytes(tree) + tree.TraceBytes(), true, nil
+						v, size := r.sys.entry(key, tree)
+						return v, size, true, nil
 					}
 				}
 				tree, err := r.sys.buildTree(cctx, r.Query, r.Rows, tech, opts)
 				if err != nil {
 					return served{}, 0, false, err
 				}
-				return served{tree, DegradeNone, r.sys.stats}, treeBytes(tree) + tree.TraceBytes(), false, nil
+				v, size := r.sys.entry(key, tree)
+				return v, size, false, nil
 			})
 		return v.tree, err
 	}

@@ -55,6 +55,9 @@ go test -race -count=1 -run 'TestRepair|TestServeRepair|TestLearnBatchServeRace|
 step "warmbench smoke (repair + pre-warming under learn churn)"
 go run ./cmd/catload -warmbench -rows 2000 -queries 1500 -n 60 -mix 8 -learn-every 15 -warm-topk 8
 
+step "render memo: concurrent first hits on one entry under race"
+go test -race -count=10 -run 'TestMemoConcurrentFirstHit' ./internal/server
+
 step "chaos smoke (fault-injection suite)"
 go test -race -count=1 -run 'TestChaos' ./internal/server
 

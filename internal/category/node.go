@@ -15,6 +15,7 @@ package category
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"repro/internal/relation"
@@ -65,38 +66,50 @@ func (l Label) Predicate() relation.Predicate {
 }
 
 // String renders the label the way Figure 1 does: "Price: 200000-225000" or
-// "Neighborhood: Redmond, Bellevue".
+// "Neighborhood: Redmond, Bellevue". A range label reads the same whether or
+// not it includes Hi; inclusivity shows in Predicate.
 func (l Label) String() string {
+	var buf [64]byte
+	b := append(append(buf[:0], l.Attr...), ": "...)
 	switch l.Kind {
 	case LabelValue:
-		return fmt.Sprintf("%s: %s", l.Attr, l.Value)
+		b = append(b, l.Value...)
 	case LabelValueSet:
-		if len(l.Values) <= 3 {
-			return fmt.Sprintf("%s: %s", l.Attr, strings.Join(l.Values, ", "))
+		if len(l.Values) > 3 {
+			b = append(b, "Other ("...)
+			b = strconv.AppendInt(b, int64(len(l.Values)), 10)
+			b = append(b, " values)"...)
+			break
 		}
-		return fmt.Sprintf("%s: Other (%d values)", l.Attr, len(l.Values))
+		for i, v := range l.Values {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = append(b, v...)
+		}
 	case LabelRange:
-		dash := "-"
-		if l.HiInc {
-			dash = "-" // rendering is identical; inclusivity shows in Predicate
-		}
-		return fmt.Sprintf("%s: %s%s%s", l.Attr, fmtLabelNum(l.Lo), dash, fmtLabelNum(l.Hi))
+		b = appendLabelNum(b, l.Lo)
+		b = append(b, '-')
+		b = appendLabelNum(b, l.Hi)
 	default:
 		return "ALL"
 	}
+	return string(b)
 }
 
-func fmtLabelNum(v float64) string {
-	if math.IsInf(v, -1) {
-		return "min"
+// appendLabelNum appends a range bound: "min"/"max" for the open ends, an
+// integer for integral values below 1e15, the shortest %g form otherwise.
+func appendLabelNum(b []byte, v float64) []byte {
+	switch {
+	case math.IsInf(v, -1):
+		return append(b, "min"...)
+	case math.IsInf(v, 1):
+		return append(b, "max"...)
+	case v == math.Trunc(v) && math.Abs(v) < 1e15:
+		return strconv.AppendInt(b, int64(v), 10)
+	default:
+		return strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
-	if math.IsInf(v, 1) {
-		return "max"
-	}
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 {
-		return fmt.Sprintf("%d", int64(v))
-	}
-	return fmt.Sprintf("%g", v)
 }
 
 // Node is one category. Children are ordered: the exploration models assume

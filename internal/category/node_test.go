@@ -1,6 +1,9 @@
 package category
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -20,6 +23,80 @@ func TestLabelString(t *testing.T) {
 	for _, tc := range tests {
 		if got := tc.l.String(); got != tc.want {
 			t.Errorf("String() = %q; want %q", got, tc.want)
+		}
+	}
+}
+
+// fmtLabelString is Label.String as it was written with fmt, kept as the
+// reference the strconv rendering must match byte for byte.
+func fmtLabelString(l Label) string {
+	num := func(v float64) string {
+		if math.IsInf(v, -1) {
+			return "min"
+		}
+		if math.IsInf(v, 1) {
+			return "max"
+		}
+		if v == math.Trunc(v) && math.Abs(v) < 1e15 {
+			return fmt.Sprintf("%d", int64(v))
+		}
+		return fmt.Sprintf("%g", v)
+	}
+	switch l.Kind {
+	case LabelValue:
+		return fmt.Sprintf("%s: %s", l.Attr, l.Value)
+	case LabelValueSet:
+		if len(l.Values) <= 3 {
+			return fmt.Sprintf("%s: %s", l.Attr, strings.Join(l.Values, ", "))
+		}
+		return fmt.Sprintf("%s: Other (%d values)", l.Attr, len(l.Values))
+	case LabelRange:
+		return fmt.Sprintf("%s: %s-%s", l.Attr, num(l.Lo), num(l.Hi))
+	default:
+		return "ALL"
+	}
+}
+
+func TestLabelStringMatchesFmt(t *testing.T) {
+	labels := []Label{
+		{Kind: LabelAll},
+		{Kind: LabelAll, Attr: "price"},
+		{Kind: LabelValue, Attr: "neighborhood", Value: "Redmond, WA"},
+		{Kind: LabelValue, Attr: "neighborhood", Value: ""},
+		{Kind: LabelValue, Attr: "a-rather-long-attribute-name-for-the-buffer", Value: "and a value that outgrows sixty-four bytes"},
+		{Kind: LabelValueSet, Attr: "neighborhood"},
+		{Kind: LabelValueSet, Attr: "neighborhood", Values: []string{"Bellevue, WA"}},
+		{Kind: LabelValueSet, Attr: "neighborhood", Values: []string{"Bellevue, WA", "Redmond, WA"}},
+		{Kind: LabelValueSet, Attr: "neighborhood", Values: []string{"Bellevue, WA", "Kirkland, WA", "Redmond, WA"}},
+		{Kind: LabelValueSet, Attr: "neighborhood", Values: []string{"a", "b", "c", "d"}},
+		{Kind: LabelValueSet, Attr: "neighborhood", Values: make([]string, 1234)},
+		{Kind: LabelRange, Attr: "price", Lo: math.Inf(-1), Hi: 200000},
+		{Kind: LabelRange, Attr: "price", Lo: 975000, Hi: math.Inf(1), HiInc: true},
+		{Kind: LabelRange, Attr: "price", Lo: math.Inf(-1), Hi: math.Inf(1)},
+	}
+	bounds := []float64{
+		0, math.Copysign(0, -1), 1, -1, 3, 200000, -225000,
+		1e15 - 1, 1e15, -1e15 + 1, -1e15, 1e15 + 2, 1e16, 9007199254740993,
+		999999999999999.9, 0.5, -0.25, 1.5, 2.25, 1234.5678, 0.1, 1.0 / 3,
+		1e-7, 1.5e-300, 5e-324, 1.5e20, -2.5e21, 1e300, math.MaxFloat64,
+		123456789.125, math.NaN(),
+	}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			labels = append(labels, Label{Kind: LabelRange, Attr: "price", Lo: lo, Hi: hi})
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 2000; i++ {
+		// Random bit patterns reach every exponent; scaled normals hit the
+		// integral and fractional forms.
+		labels = append(labels,
+			Label{Kind: LabelRange, Attr: "x", Lo: math.Float64frombits(rng.Uint64()), Hi: math.Float64frombits(rng.Uint64())},
+			Label{Kind: LabelRange, Attr: "x", Lo: math.Round(rng.NormFloat64() * 1e6), Hi: rng.NormFloat64() * 1e3})
+	}
+	for _, l := range labels {
+		if got, want := l.String(), fmtLabelString(l); got != want {
+			t.Errorf("String(%+v) = %q; fmt gives %q", l, got, want)
 		}
 	}
 }

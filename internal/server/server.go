@@ -12,11 +12,13 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -33,7 +35,8 @@ const StatusClientClosedRequest = 499
 type Config struct {
 	// System is the query/categorization engine to serve. Required. Build
 	// it with repro.Config.TreeCacheEntries/TreeCacheBytes to memoize served
-	// trees; the server reports hits via the X-Cache response header.
+	// trees, and with them each hit's /v1/query body; the server reports
+	// hits via the X-Cache response header.
 	System *repro.System
 	// Options are the default categorizer parameters; per-request options
 	// override individual fields.
@@ -399,13 +402,35 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	tree := out.Tree
 	setCacheHeader(w, out.Hit)
 	setDegradedHeader(w, out.Degraded)
 	setStorageHeader(w, s.currentSystem())
 	maxDepth := boundOrDefault(req.MaxDepth, s.cfg.MaxDepth)
 	maxChildren := boundOrDefault(req.MaxChildren, s.cfg.MaxChildren)
-	writeJSON(w, http.StatusOK, queryResponse{
+	// A hit replays the body its cache entry memoized under these bounds;
+	// the first hit renders it there (DESIGN.md §8). Misses carry no memo.
+	body, ok := out.Memo.Load(maxDepth, maxChildren)
+	if !ok {
+		var err error
+		if body, err = renderQuery(out, maxDepth, maxChildren); err != nil {
+			writeErr(w, http.StatusInternalServerError, "rendering response: %v", err)
+			return
+		}
+		out.Memo.Store(maxDepth, maxChildren, body)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	// A failed write means the client is gone; there is no one to tell.
+	_, _ = w.Write(body)
+}
+
+// renderQuery is the one /v1/query renderer: the response body for a served
+// tree under the payload bounds, trailing newline included.
+func renderQuery(out repro.ServeOutcome, maxDepth, maxChildren int) ([]byte, error) {
+	tree := out.Tree
+	var buf bytes.Buffer
+	err := json.NewEncoder(&buf).Encode(queryResponse{
 		ResultCount: tree.Root.Size(),
 		Levels:      tree.LevelAttrs,
 		EstCostAll:  repro.EstimateCostAll(tree),
@@ -414,6 +439,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Degraded:    out.Degraded.String(),
 		Tree:        toJSONTree(tree.Root, nil, maxDepth, maxChildren),
 	})
+	return buf.Bytes(), err
 }
 
 // serveTree is the resilient serving path shared by /v1/query and
@@ -423,11 +449,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // the error response and reports ok = false.
 func (s *Server) serveTree(w http.ResponseWriter, r *http.Request, q *repro.Query, tech repro.Technique, opts repro.Options, timeoutMs int, learn bool, fallback int) (repro.ServeOutcome, bool) {
 	sys := s.currentSystem()
-	if tree, ok := sys.Peek(q, tech, opts); ok {
+	if out := sys.PeekOutcome(q, tech, opts); out.Hit {
 		if learn && s.adaptive != nil && !s.draining.Load() {
 			s.adaptive.LearnQuery(q)
 		}
-		return repro.ServeOutcome{Tree: tree, Hit: true}, true
+		return out, true
 	}
 	ctx := r.Context()
 	deadline := tightest(s.cfg.Deadline, time.Duration(timeoutMs)*time.Millisecond)

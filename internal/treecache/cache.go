@@ -284,6 +284,32 @@ func (c *Cache[V]) insertLocked(key, base string, val V, size int64) {
 		}
 		c.bytes += size
 	}
+	c.evictOverLocked()
+}
+
+// Grow adds delta bytes to the size of the entry stored under key, for
+// memory the caller attached to its value after it was stored, and evicts
+// from the cold end until the bounds hold again (the grown entry is
+// evictable like any other). It charges only while key still holds stored:
+// a value evicted and recomputed under the same key is another entry. Grow
+// reports whether it charged. It is a function rather than a method because
+// comparing stored values needs V comparable, which Cache does not require.
+func Grow[V comparable](c *Cache[V], key string, stored V, delta int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.table[key]
+	if !ok || el.Value.(*entry[V]).val != stored {
+		return false
+	}
+	el.Value.(*entry[V]).size += delta
+	c.bytes += delta
+	c.evictOverLocked()
+	return true
+}
+
+// evictOverLocked evicts from the cold end until the bounds hold, keeping
+// at least one entry.
+func (c *Cache[V]) evictOverLocked() {
 	for c.ll.Len() > 1 &&
 		((c.cfg.MaxEntries > 0 && c.ll.Len() > c.cfg.MaxEntries) ||
 			(c.cfg.MaxBytes > 0 && c.bytes > c.cfg.MaxBytes)) {

@@ -67,6 +67,50 @@ func TestByteBound(t *testing.T) {
 	}
 }
 
+// TestGrow: growing a stored entry charges the byte bound, evicts colder
+// entries past it, and is released with the entry; a missing key or a
+// recomputed value under the same key is not charged.
+func TestGrow(t *testing.T) {
+	c := New[string](Config{MaxBytes: 100})
+	put := func(key, val string) {
+		t.Helper()
+		c.Do(bg(), key, func(context.Context) (string, int64, error) { return val, 30, nil })
+	}
+	put("a", "a1")
+	put("b", "b1")
+	if !Grow(c, "b", "b1", 20) {
+		t.Fatal("Grow on a stored entry did not charge")
+	}
+	if s := c.Stats(); s.Bytes != 80 || s.Entries != 2 || s.Evictions != 0 {
+		t.Fatalf("after growing b by 20: %+v", s)
+	}
+	if Grow(c, "missing", "", 5) || Grow(c, "b", "b0", 5) {
+		t.Fatal("Grow charged an absent key or a value the key no longer holds")
+	}
+	// Past the bound, the cold end goes first.
+	if !Grow(c, "b", "b1", 30) {
+		t.Fatal("second Grow did not charge")
+	}
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("growing b past the bound should have evicted a")
+	}
+	if s := c.Stats(); s.Bytes != 80 || s.Entries != 1 || s.Evictions != 1 {
+		t.Fatalf("after growing b past the bound: %+v", s)
+	}
+	// Evicting b releases its grown size.
+	put("c", "c1")
+	put("d", "d1")
+	if _, ok := c.Get("b"); ok {
+		t.Fatal("b should have been evicted")
+	}
+	if s := c.Stats(); s.Bytes != 60 || s.Entries != 2 {
+		t.Fatalf("after evicting b: %+v", s)
+	}
+	if Grow(c, "b", "b1", 5) {
+		t.Fatal("Grow charged an evicted entry")
+	}
+}
+
 // TestSingleflight: N concurrent misses on one key run compute once.
 func TestSingleflight(t *testing.T) {
 	c := New[int](Config{MaxEntries: 16})

@@ -53,6 +53,9 @@ type ServeOutcome struct {
 	Tree     *Tree
 	Hit      bool
 	Degraded Degradation
+	// Memo is the hit's cache-entry slot for a rendered response; nil
+	// unless Hit.
+	Memo *RenderMemo
 }
 
 // served is the tree cache's value type: the tree plus its degradation rung,
@@ -61,11 +64,66 @@ type ServeOutcome struct {
 // inserted). stats pins the immutable statistics snapshot the tree was built
 // under: when a later generation finds this entry stale, diffing that snapshot
 // against the current one decides whether the tree can be repaired in place
-// (DESIGN.md §13).
+// (DESIGN.md §13). memo is the entry's render memo, nil for degraded trees.
 type served struct {
 	tree  *Tree
 	deg   Degradation
 	stats *workload.Stats
+	memo  *RenderMemo
+}
+
+// entry wraps a full-fidelity tree as the tree-cache value to store under
+// key, with its byte size. The value's render memo charges what it stores
+// to that entry, and to no later entry recomputed under the same key.
+func (s *System) entry(key string, tree *Tree) (served, int64) {
+	v := served{tree: tree, stats: s.stats, memo: &RenderMemo{}}
+	c := s.cache
+	v.memo.charge = func(n int64) { treecache.Grow(c, key, v, n) }
+	return v, treeBytes(tree) + tree.TraceBytes()
+}
+
+// RenderMemo is one tree-cache entry's memoized response (DESIGN.md §8).
+// Under one statistics generation the entry's tree is fixed, so a rendering
+// of it under fixed bounds is too: a server renders it once and replays the
+// bytes on later hits. The memo holds one body, rendered under the
+// (maxDepth, maxChildren) pair of the first Store; its bytes count against
+// the cache's byte bound, and eviction drops them with the tree. A nil
+// *RenderMemo holds and stores nothing.
+type RenderMemo struct {
+	slot   atomic.Pointer[renderedBody]
+	charge func(n int64) // grows the owning entry's size in the tree cache
+}
+
+type renderedBody struct {
+	maxDepth, maxChildren int
+	body                  []byte
+}
+
+// Load returns the stored body if it was rendered under these bounds. The
+// bytes are shared: do not modify them.
+func (m *RenderMemo) Load(maxDepth, maxChildren int) ([]byte, bool) {
+	if m == nil {
+		return nil, false
+	}
+	r := m.slot.Load()
+	if r == nil || r.maxDepth != maxDepth || r.maxChildren != maxChildren {
+		return nil, false
+	}
+	return r.body, true
+}
+
+// Store fills an empty memo with body, rendered under these bounds, and
+// charges its length to the cache entry; the memo keeps body, so the caller
+// must not modify it afterwards. A filled memo keeps its body, so concurrent
+// first stores fill it once.
+func (m *RenderMemo) Store(maxDepth, maxChildren int, body []byte) {
+	if m == nil || m.slot.Load() != nil {
+		return
+	}
+	r := &renderedBody{maxDepth: maxDepth, maxChildren: maxChildren, body: body}
+	if m.slot.CompareAndSwap(nil, r) {
+		m.charge(int64(len(r.body)))
+	}
 }
 
 // errSoftBudget is the cancellation cause of a degradation step's soft
@@ -242,11 +300,13 @@ func (s *System) ServeParsedWith(ctx context.Context, q *Query, tech Technique, 
 		}
 		return ServeOutcome{Tree: tree, Degraded: deg}, nil
 	}
-	v, hit, err := s.cache.DoStale(ctx, s.cacheKey(q, tech, opts), s.cacheBaseKey(q, tech, opts),
+	key := s.cacheKey(q, tech, opts)
+	v, hit, err := s.cache.DoStale(ctx, key, s.cacheBaseKey(q, tech, opts),
 		func(cctx context.Context, stale served, haveStale bool) (served, int64, bool, error) {
 			if haveStale {
 				if tree, ok := s.repairFromStale(cctx, q, stale, tech, opts); ok {
-					return served{tree, DegradeNone, s.stats}, treeBytes(tree) + tree.TraceBytes(), true, nil
+					v, size := s.entry(key, tree)
+					return v, size, true, nil
 				}
 			}
 			rows := s.staleRows(q, stale, haveStale)
@@ -257,14 +317,19 @@ func (s *System) ServeParsedWith(ctx context.Context, q *Query, tech Technique, 
 			if deg != DegradeNone {
 				// A degraded tree is an overload artifact, not the query's true
 				// categorization: hand it to the waiters, store nothing.
-				return served{tree, deg, s.stats}, -1, false, nil
+				return served{tree: tree, deg: deg, stats: s.stats}, -1, false, nil
 			}
-			return served{tree, deg, s.stats}, treeBytes(tree) + tree.TraceBytes(), false, nil
+			v, size := s.entry(key, tree)
+			return v, size, false, nil
 		})
 	if err != nil {
 		return out, mapDeadlineErr(ctx, err)
 	}
-	return ServeOutcome{Tree: v.tree, Hit: hit, Degraded: v.deg}, nil
+	out = ServeOutcome{Tree: v.tree, Hit: hit, Degraded: v.deg}
+	if hit {
+		out.Memo = v.memo
+	}
+	return out, nil
 }
 
 // staleRows returns the result rows for a cache-miss build. A stale entry's
@@ -321,13 +386,21 @@ func (s *System) repairFromStale(ctx context.Context, q *Query, stale served, te
 // computing nothing. This is the admission-control bypass: a cache hit costs
 // no categorization, so the server needn't spend a concurrency slot on it.
 func (s *System) Peek(q *Query, tech Technique, opts Options) (*Tree, bool) {
+	out := s.PeekOutcome(q, tech, opts)
+	return out.Tree, out.Hit
+}
+
+// PeekOutcome is Peek reporting a stored tree as a hit outcome that carries
+// the entry's render memo; on a miss it returns the zero outcome.
+func (s *System) PeekOutcome(q *Query, tech Technique, opts Options) ServeOutcome {
 	if q == nil || !s.cache.Enabled() {
-		return nil, false
+		return ServeOutcome{}
 	}
-	if v, ok := s.cache.Get(s.cacheKey(q, tech, opts)); ok {
-		return v.tree, true
+	v, ok := s.cache.Get(s.cacheKey(q, tech, opts))
+	if !ok {
+		return ServeOutcome{}
 	}
-	return nil, false
+	return ServeOutcome{Tree: v.tree, Hit: true, Memo: v.memo}
 }
 
 // mapDeadlineErr tags a context error caused by the server-imposed deadline

@@ -146,14 +146,14 @@ segmentbench:
 
 # The learning-churn numbers, recorded as BENCH_warm.json: cmd/catload's
 # 3-phase warmbench (baseline, learn storm without warming, learn storm with
-# the pre-warmer) at paper scale — p50/p95 serve latency, hit counts, and
-# the repaired-vs-rebuilt tree and node counters behind them (DESIGN.md §13).
+# the pre-warmer) at paper scale — p50/p95 serve latency, hit and miss
+# counts, and the trees the warmer built (DESIGN.md §13).
 warmbench:
 	go run ./cmd/catload -warmbench -bench -rows 20000 -queries 10000 \
 		-n 600 -mix 16 -learn-every 25 -warm-topk 16 \
 		| tee warmbench_output.txt \
 		| go run ./cmd/benchjson \
-		  -note "incremental tree repair + predictive pre-warming under a learn storm (DESIGN.md §13), rows=20000, learn-every=25" \
+		  -note "stale misses + predictive pre-warming under a learn storm (DESIGN.md §13), rows=20000, learn-every=25" \
 		  -o BENCH_warm.json
 	@echo wrote BENCH_warm.json
 

@@ -131,39 +131,48 @@ func (a *AdaptiveSystem) LearnBatch(sqls []string) error {
 
 // learn clones the current snapshot's mutable state, folds the queries in,
 // and publishes the successor snapshot. Readers racing with the swap keep
-// whichever snapshot they loaded — both are internally consistent.
+// whichever snapshot they loaded — both are internally consistent. Queries
+// the statistics skip (those naming another table) are not learned, and a
+// learn that folds in nothing publishes nothing: the generation, and with it
+// every cached tree, stays current.
 func (a *AdaptiveSystem) learn(qs ...*sqlparse.Query) {
 	a.learnMu.Lock()
 	defer a.learnMu.Unlock()
 	old := a.cur.Load()
 	next := &System{
-		rel:     old.rel,
-		stats:   old.stats.Clone(),
-		opts:    old.opts,
-		wl:      old.wl.Clone(),
-		wcfg:    old.wcfg,
-		cache:   old.cache,
-		gen:     old.gen + 1,
-		resil:   old.resil,
-		shardc:  old.shardc,
-		repairc: old.repairc,
-		dur:     old.dur,
+		rel:    old.rel,
+		stats:  old.stats.Clone(),
+		opts:   old.opts,
+		wl:     old.wl.Clone(),
+		wcfg:   old.wcfg,
+		cache:  old.cache,
+		gen:    old.gen + 1,
+		resil:  old.resil,
+		shardc: old.shardc,
+		dur:    old.dur,
 	}
 	if old.corr != nil {
 		next.corr = old.corr.Clone()
 	}
+	folded := make([]*sqlparse.Query, 0, len(qs))
 	for _, q := range qs {
-		next.stats.AddQuery(q, next.wcfg)
+		if !next.stats.AddQuery(q, next.wcfg) {
+			continue
+		}
+		folded = append(folded, q)
 		next.wl.Queries = append(next.wl.Queries, q)
 		if next.corr != nil {
 			next.corr.Add(q, next.wcfg)
 		}
 	}
+	if len(folded) == 0 {
+		return
+	}
 	a.cur.Store(next)
-	a.learned.Add(int64(len(qs)))
+	a.learned.Add(int64(len(folded)))
 	if w := a.warm.Load(); w != nil {
 		// After the publish, so the warmer's cycle sees the new snapshot.
-		w.observe(qs)
+		w.observe(folded)
 	}
 }
 
@@ -179,7 +188,8 @@ func (a *AdaptiveSystem) WorkloadSize() int {
 }
 
 // Generation returns the current snapshot's generation counter: 0 at
-// construction, +1 per published Learn/LearnBatch/learning-Explore.
+// construction, +1 per Learn/LearnBatch/learning-Explore that folds in at
+// least one query.
 func (a *AdaptiveSystem) Generation() uint64 {
 	return a.cur.Load().gen
 }

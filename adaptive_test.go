@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -67,6 +68,38 @@ func TestAdaptiveExploreAndLearn(t *testing.T) {
 	}
 	if a.WorkloadSize() != before+1 {
 		t.Fatal("non-learning exploration changed the workload")
+	}
+}
+
+// TestLearnOtherTablePublishesNothing: a query naming another table is not
+// folded into the statistics, so learning it must publish no snapshot: the
+// generation, the learned count and the workload size stay put, and cached
+// trees stay current.
+func TestLearnOtherTablePublishesNothing(t *testing.T) {
+	a := cachedAdaptiveFixture(t, 2000, 1500)
+	ctx := context.Background()
+	if _, _, _, err := a.System().Serve(ctx, homesSQL, repro.CostBased, repro.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	gen, learned, size := a.Generation(), a.Learned(), a.WorkloadSize()
+	if err := a.Learn("SELECT * FROM Other WHERE price < 5"); err != nil {
+		t.Fatal(err)
+	}
+	if a.Generation() != gen || a.Learned() != learned || a.WorkloadSize() != size {
+		t.Fatalf("foreign-table learn moved (generation, learned, workload) from (%d, %d, %d) to (%d, %d, %d)",
+			gen, learned, size, a.Generation(), a.Learned(), a.WorkloadSize())
+	}
+	if _, _, hit, err := a.System().Serve(ctx, homesSQL, repro.CostBased, repro.Options{}); err != nil || !hit {
+		t.Fatalf("serve after a foreign-table learn: hit=%v err=%v, want a hit", hit, err)
+	}
+
+	// A mixed batch publishes once and counts only the query it folded in.
+	if err := a.LearnBatch([]string{"SELECT * FROM Other WHERE price < 5", homesSQL}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Generation() != gen+1 || a.Learned() != learned+1 || a.WorkloadSize() != size+1 {
+		t.Fatalf("mixed batch moved (generation, learned, workload) from (%d, %d, %d) to (%d, %d, %d), want +1 each",
+			gen, learned, size, a.Generation(), a.Learned(), a.WorkloadSize())
 	}
 }
 

@@ -194,9 +194,6 @@ type System struct {
 	// shardc counts shard-parallel build activity (§12); shared across an
 	// AdaptiveSystem's snapshots like resil, fresh per Personalize.
 	shardc *category.ShardCounters
-	// repairc counts stale-tree revalidation outcomes (§13); shared across an
-	// AdaptiveSystem's snapshots like resil, fresh per Personalize.
-	repairc *repairCounters
 	// dur is the durable segment store backing rel (nil for in-memory
 	// systems); shared across an AdaptiveSystem's snapshots like the
 	// relation itself (§15).
@@ -218,7 +215,6 @@ func NewSystem(rel *Relation, cfg Config) (*System, error) {
 	}
 	resil := &resilienceCounters{}
 	shardc := &category.ShardCounters{}
-	repairc := &repairCounters{}
 	if cfg.Options.Shards == 0 {
 		// System-level default flows into every build that doesn't pick its
 		// own shard count (catserve -shards reaches per-request builds here).
@@ -253,12 +249,12 @@ func NewSystem(rel *Relation, cfg Config) (*System, error) {
 		if cfg.Correlations {
 			corr = workload.NewCondIndex(w, wcfg)
 		}
-		return &System{rel: rel, stats: stats, opts: cfg.Options, corr: corr, wl: w, wcfg: wcfg, cache: cache, resil: resil, shardc: shardc, repairc: repairc, dur: cfg.Durable}, nil
+		return &System{rel: rel, stats: stats, opts: cfg.Options, corr: corr, wl: w, wcfg: wcfg, cache: cache, resil: resil, shardc: shardc, dur: cfg.Durable}, nil
 	}
 	if cfg.Correlations {
 		return nil, fmt.Errorf("repro: Correlations requires the raw workload (WorkloadSQL or WorkloadReader), not precomputed Stats")
 	}
-	return &System{rel: rel, stats: stats, opts: cfg.Options, cache: cache, resil: resil, shardc: shardc, repairc: repairc, dur: cfg.Durable}, nil
+	return &System{rel: rel, stats: stats, opts: cfg.Options, cache: cache, resil: resil, shardc: shardc, dur: cfg.Durable}, nil
 }
 
 // Personalize returns a new System whose workload statistics blend this
@@ -278,15 +274,14 @@ func (s *System) Personalize(history []string, weight int) (*System, error) {
 	}
 	merged := workload.Merge(s.wl, personal, weight)
 	out := &System{
-		rel:     s.rel,
-		stats:   workload.Preprocess(merged, s.wcfg),
-		opts:    s.opts,
-		wl:      merged,
-		wcfg:    s.wcfg,
-		resil:   &resilienceCounters{},
-		shardc:  &category.ShardCounters{},
-		repairc: &repairCounters{},
-		dur:     s.dur, // same relation, same backing store
+		rel:    s.rel,
+		stats:  workload.Preprocess(merged, s.wcfg),
+		opts:   s.opts,
+		wl:     merged,
+		wcfg:   s.wcfg,
+		resil:  &resilienceCounters{},
+		shardc: &category.ShardCounters{},
+		dur:    s.dur, // same relation, same backing store
 	}
 	if s.cache.Enabled() {
 		// The personalized statistics are a different key space; sharing the
@@ -369,19 +364,15 @@ func (r *Result) CategorizeCtx(ctx context.Context, tech Technique, opts Options
 	if r.sys.cache.Enabled() && r.Query != nil {
 		key := r.sys.cacheKey(r.Query, tech, opts)
 		v, _, err := r.sys.cache.DoStale(ctx, key, r.sys.cacheBaseKey(r.Query, tech, opts),
-			func(cctx context.Context, stale served, haveStale bool) (served, int64, bool, error) {
-				if haveStale {
-					if tree, ok := r.sys.repairFromStale(cctx, r.Query, stale, tech, opts); ok {
-						v, size := r.sys.entry(key, tree)
-						return v, size, true, nil
-					}
-				}
+			func(cctx context.Context, _ served, _ bool) (served, int64, error) {
+				// The result already holds its rows; DoStale only files the
+				// entry under its base key for later stale misses.
 				tree, err := r.sys.buildTree(cctx, r.Query, r.Rows, tech, opts)
 				if err != nil {
-					return served{}, 0, false, err
+					return served{}, 0, err
 				}
 				v, size := r.sys.entry(key, tree)
-				return v, size, false, nil
+				return v, size, nil
 			})
 		return v.tree, err
 	}

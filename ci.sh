@@ -48,11 +48,10 @@ go test -race -count=1 \
     -run 'TestSegment|TestConcurrentAppendSealSelect|TestAppendExtends|TestZone' \
     ./internal/category ./internal/relation
 
-step "repair equivalence + warmer under race"
-go test -race -count=1 -run 'TestRepair|TestServeRepair|TestLearnBatchServeRace|TestWarm' \
-    ./internal/category .
+step "stale-miss equivalence + warmer under race"
+go test -race -count=1 -run 'TestServeStale|TestLearnBatchServeRace|TestWarm' .
 
-step "warmbench smoke (repair + pre-warming under learn churn)"
+step "warmbench smoke (pre-warming under learn churn)"
 go run ./cmd/catload -warmbench -rows 2000 -queries 1500 -n 60 -mix 8 -learn-every 15 -warm-topk 8
 
 step "render memo: concurrent first hits on one entry under race"

@@ -18,14 +18,12 @@ import (
 //	baseline     primed cache, no learning: the steady-state hit latency
 //	storm-nowarm a LearnBatch every -learn-every requests, warming off:
 //	             every learn staleness-bombs the cache and the foreground
-//	             pays the repair (or rebuild) on its own clock
-//	storm-warm   the same storm with the pre-warmer on: repairs happen in
+//	             pays each stale-miss rebuild on its own clock
+//	storm-warm   the same storm with the pre-warmer on: rebuilds happen in
 //	             the background, the foreground mostly hits
 //
 // Each phase emits BenchmarkWarm/<phase>/<metric> lines for cmd/benchjson
-// (see `make warmbench`), including the repaired-vs-rebuilt tree and node
-// counters, so BENCH_warm.json records both the latency effect and the
-// mechanism behind it.
+// (see `make warmbench`): latencies, hit and miss counts, and warmed trees.
 
 type warmbenchConfig struct {
 	rows, queries int
@@ -47,7 +45,6 @@ type warmbenchResult struct {
 	label     string
 	hit, miss []time.Duration
 	wall      time.Duration
-	repair    repro.RepairStats
 	cache     repro.CacheStats
 	warmer    repro.WarmerStats
 }
@@ -155,7 +152,6 @@ func warmbenchPhase(cfg warmbenchConfig, label string, storm, warming bool) *war
 		res.warmer = ws
 	}
 	a.StopWarmer()
-	res.repair = a.System().RepairStats()
 	res.cache = a.System().CacheStats()
 	return res
 }
@@ -167,9 +163,7 @@ func (r *warmbenchResult) print(w *os.File) {
 	fmt.Fprintf(w, "  p50=%-10s p95=%-10s hit_p50=%-10s miss_p50=%s\n",
 		quantile(r.all(), 0.50), quantile(r.all(), 0.95),
 		quantile(r.hit, 0.50), quantile(r.miss, 0.50))
-	fmt.Fprintf(w, "  repair: reused=%d repaired=%d rebuilt=%d copiedNodes=%d rebuiltNodes=%d stale=%d\n",
-		r.repair.Reused, r.repair.Repaired, r.repair.Rebuilt,
-		r.repair.CopiedNodes, r.repair.RebuiltNodes, r.cache.Stale)
+	fmt.Fprintf(w, "  cache: stale=%d\n", r.cache.Stale)
 	if r.warmer.Cycles > 0 {
 		fmt.Fprintf(w, "  warmer: cycles=%d warmed=%d alreadyCached=%d errors=%d\n",
 			r.warmer.Cycles, r.warmer.Warmed, r.warmer.AlreadyCached, r.warmer.Errors)
@@ -191,10 +185,5 @@ func (r *warmbenchResult) printBench(w *os.File) {
 	emit("miss_p50", float64(quantile(r.miss, 0.50)))
 	emit("hits", float64(len(r.hit)))
 	emit("misses", float64(len(r.miss)))
-	emit("reused_trees", float64(r.repair.Reused))
-	emit("repaired_trees", float64(r.repair.Repaired))
-	emit("rebuilt_trees", float64(r.repair.Rebuilt))
-	emit("copied_nodes", float64(r.repair.CopiedNodes))
-	emit("rebuilt_nodes", float64(r.repair.RebuiltNodes))
 	emit("warmed", float64(r.warmer.Warmed))
 }

@@ -123,16 +123,6 @@ type Categorizer struct {
 	// Counters, when non-nil, accumulates shard-parallel telemetry across
 	// builds (healthz's "sharding" block). Shared by pointer; nil is fine.
 	Counters *ShardCounters
-	// RecordTrace makes the build record a BuildTrace on the tree — the
-	// structural record Repair consumes (DESIGN.md §13). Off by default: the
-	// trace costs allocations proportional to candidates × levels, which
-	// one-shot builds never amortize. The serving layer turns it on for
-	// cacheable cost-based builds.
-	RecordTrace bool
-	// RepairBudget bounds how many old-tree nodes one Repair call may copy
-	// before giving up in favor of a full rebuild; 0 means
-	// DefaultRepairBudget.
-	RepairBudget int
 }
 
 // NewCategorizer returns a Categorizer over the given workload statistics
@@ -184,64 +174,28 @@ func (c *Categorizer) categorize(r *relation.Relation, q *sqlparse.Query, rows [
 	// The root owns a copy: callers keep their slice, and later in-place
 	// reorderings of the tree (ranking) cannot reach the caller's data.
 	tree := &Tree{Root: &Node{Label: Label{Kind: LabelAll}, Tset: append([]int(nil), rows...), P: 1, Pw: 1}, R: r, K: opts.K}
-	if c.RecordTrace && c.Corr == nil {
-		// Traces serve repair, and repair only applies under the independence
-		// model: the correlation refinement's probabilities depend on the
-		// retained per-query conditions, which the trace does not capture.
-		tree.Trace = &BuildTrace{Candidates: append([]string(nil), candidates...)}
-	}
 	frontier := []*Node{tree.Root}
 	if c.Corr != nil {
 		lc.compat = map[*Node][]int{tree.Root: c.Corr.AllIDs()}
 	}
-	if err := c.runLevels(lc, tree, frontier, candidates, 1); err != nil {
-		return nil, err
-	}
-	return tree, nil
-}
-
-// runLevels executes the level-greedy loop (Figure 6) from startLevel,
-// mutating tree in place: per level it evaluates every remaining candidate's
-// best partitioning of the oversized frontier and commits the argmin. It is
-// the shared tail of categorize and of Repair's divergence path (the repair
-// pass copies stable levels, then hands the remaining levels to the exact
-// loop a rebuild would run).
-func (c *Categorizer) runLevels(lc *levelContext, tree *Tree, frontier []*Node, candidates []string, startLevel int) error {
-	opts := lc.opts
-	ctx := lc.ctx
-	for level := startLevel; ; level++ {
+	for level := 1; ; level++ {
 		if opts.MaxLevels > 0 && level > opts.MaxLevels {
 			break
 		}
 		if err := faultinject.Inject(ctx, faultinject.SiteCategorizeLevel); err != nil {
-			return fmt.Errorf("category: categorization abandoned: %w", err)
+			return nil, fmt.Errorf("category: categorization abandoned: %w", err)
 		}
 		s := oversized(frontier, opts.M)
 		if len(s) == 0 || len(candidates) == 0 {
 			break
 		}
 		lc.resetLevel()
-		best, all := bestPlanAll(candidates, s, lc, lc.planFor, tree.Trace != nil)
+		best := bestPlan(candidates, s, lc, lc.planFor)
 		if err := ctxExpired(ctx); err != nil {
 			// A cancellation mid-fan-out may have skipped candidates; the
 			// surviving plan would be valid but not necessarily the best, so
 			// the whole build is abandoned rather than committed.
-			return fmt.Errorf("category: categorization abandoned: %w", err)
-		}
-		if tree.Trace != nil {
-			lt := LevelTrace{
-				Candidates: append([]string(nil), candidates...),
-				Sketches:   make([]*planSketch, len(candidates)),
-			}
-			for i, pl := range all {
-				if pl != nil {
-					lt.Sketches[i] = sketchPlan(pl, s)
-				}
-			}
-			if best != nil {
-				lt.Chosen = best.attr
-			}
-			tree.Trace.Levels = append(tree.Trace.Levels, lt)
+			return nil, fmt.Errorf("category: categorization abandoned: %w", err)
 		}
 		if best == nil {
 			break // no attribute partitions anything at this level
@@ -250,7 +204,7 @@ func (c *Categorizer) runLevels(lc *levelContext, tree *Tree, frontier []*Node, 
 		tree.LevelAttrs = append(tree.LevelAttrs, best.attr)
 		candidates = removeAttr(candidates, best.attr)
 	}
-	return nil
+	return tree, nil
 }
 
 // bestPlan evaluates every candidate attribute's partitioning of S with
@@ -259,45 +213,21 @@ func (c *Categorizer) runLevels(lc *levelContext, tree *Tree, frontier []*Node, 
 // candidate-list position. Intra-node parallelism comes from Options.Shards
 // (shard.go), not from evaluating candidates concurrently.
 func bestPlan(candidates []string, s []*Node, lc *levelContext, build func(string, []*Node) *plan) *plan {
-	best, _ := bestPlanAll(candidates, s, lc, build, false)
-	return best
-}
-
-// bestPlanAll is bestPlan optionally exposing every candidate's plan (parallel
-// to candidates; nil where the candidate produced none) so a tracing build can
-// sketch the losing plans before they are discarded.
-func bestPlanAll(candidates []string, s []*Node, lc *levelContext, build func(string, []*Node) *plan, wantAll bool) (*plan, []*plan) {
-	type scored struct {
-		pl   *plan
-		cost float64
-	}
-	results := make([]scored, len(candidates))
-	for i, attr := range candidates {
+	var best *plan
+	bestCost := 0.0
+	for _, attr := range candidates {
 		if ctxExpired(lc.ctx) != nil {
 			break // abandoned build; categorize discards the level
 		}
-		if pl := build(attr, s); pl != nil {
-			results[i] = scored{pl, lc.planCost(pl, s)}
-		}
-	}
-	var best *plan
-	bestCost := 0.0
-	for _, r := range results {
-		if r.pl == nil {
+		pl := build(attr, s)
+		if pl == nil {
 			continue
 		}
-		if best == nil || r.cost < bestCost {
-			best, bestCost = r.pl, r.cost
+		if cost := lc.planCost(pl, s); best == nil || cost < bestCost {
+			best, bestCost = pl, cost
 		}
 	}
-	if !wantAll {
-		return best, nil
-	}
-	all := make([]*plan, len(candidates))
-	for i := range results {
-		all[i] = results[i].pl
-	}
-	return best, all
+	return best
 }
 
 // ctxExpired is ctx.Err() plus a wall-clock check of the deadline. A

@@ -161,13 +161,6 @@ type Tree struct {
 	// K is the label-examination cost (relative to one tuple) the tree was
 	// built and should be costed with.
 	K float64
-	// Trace, when the build recorded one (Categorizer.RecordTrace), is the
-	// stats-independent structural record of the level-greedy search that
-	// produced this tree — the input Repair needs to revalidate the tree
-	// under a later statistics snapshot (DESIGN.md §13). Nil for baseline
-	// builds, loaded trees, and untraced builds; Repair then falls back to a
-	// full rebuild.
-	Trace *BuildTrace
 }
 
 // NodeCount returns the number of category nodes, excluding the root.

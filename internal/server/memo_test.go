@@ -175,8 +175,7 @@ func TestMemoNeverHoldsDegraded(t *testing.T) {
 // TestMemoNotCarriedAcrossGenerations: a learning server memoizes a hit
 // under one statistics generation; after learning publishes another, the
 // same query's entry in the new generation renders from its own tree and
-// never replays the old bytes, though its miss was offered the old entry as
-// repair material.
+// never replays the old bytes, though its miss was offered the old entry.
 func TestMemoNotCarriedAcrossGenerations(t *testing.T) {
 	srv, err := New(Config{System: newServeSystem(t, true), Learn: true, MaxDepth: 3, MaxChildren: 8})
 	if err != nil {

@@ -259,10 +259,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	}
 	if sys.CacheEnabled() {
 		body["cache"] = sys.CacheStats()
-		// Incremental-repair counters (DESIGN.md §13): how stale-generation
-		// misses were satisfied — reused outright, repaired in place, or
-		// rebuilt from scratch — plus the node-level copy/rebuild split.
-		body["repair"] = sys.RepairStats()
 	}
 	if s.adaptive != nil {
 		if ws, ok := s.adaptive.WarmerStats(); ok {

@@ -48,9 +48,10 @@ func TestNewWarmRequiresLearn(t *testing.T) {
 }
 
 // TestHealthzRepairAndWarmerShape drives a learn-churn sequence through the
-// HTTP path and pins the /healthz JSON contract for the new observability
-// blocks: the cache block's stale/repaired counters, the repair block, and
-// the warmer block.
+// HTTP path and pins the /healthz JSON contract for stale misses and warming:
+// the cache block's counters, including stale, and the warmer block. The
+// repair block and the cache's repaired counter went with incremental repair
+// and must stay gone.
 func TestHealthzRepairAndWarmerShape(t *testing.T) {
 	srv, hs := warmTestServer(t, 4)
 
@@ -68,69 +69,37 @@ func TestHealthzRepairAndWarmerShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var body struct {
-		Cache *struct {
-			Hits      *uint64 `json:"hits"`
-			Misses    *uint64 `json:"misses"`
-			Shared    *uint64 `json:"shared"`
-			Evictions *uint64 `json:"evictions"`
-			Stale     *uint64 `json:"stale"`
-			Repaired  *uint64 `json:"repaired"`
-			Panics    *uint64 `json:"panics"`
-			Entries   *int    `json:"entries"`
-			Bytes     *int64  `json:"bytes"`
-		} `json:"cache"`
-		Repair *struct {
-			Reused       *uint64 `json:"reused"`
-			Repaired     *uint64 `json:"repaired"`
-			Rebuilt      *uint64 `json:"rebuilt"`
-			CopiedNodes  *uint64 `json:"copiedNodes"`
-			RebuiltNodes *uint64 `json:"rebuiltNodes"`
-		} `json:"repair"`
-		Warmer *repro.WarmerStats `json:"warmer"`
-	}
+	var body map[string]json.RawMessage
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Cache == nil {
-		t.Fatal("healthz has no cache block")
+	if _, ok := body["repair"]; ok {
+		t.Error("healthz still has a repair block")
 	}
-	for name, p := range map[string]bool{
-		"hits": body.Cache.Hits != nil, "misses": body.Cache.Misses != nil,
-		"shared": body.Cache.Shared != nil, "evictions": body.Cache.Evictions != nil,
-		"stale": body.Cache.Stale != nil, "repaired": body.Cache.Repaired != nil,
-		"panics": body.Cache.Panics != nil, "entries": body.Cache.Entries != nil,
-		"bytes": body.Cache.Bytes != nil,
-	} {
-		if !p {
+	var cache map[string]json.RawMessage
+	if err := json.Unmarshal(body["cache"], &cache); err != nil || cache == nil {
+		t.Fatalf("healthz has no cache block (%v)", err)
+	}
+	for _, name := range []string{"hits", "misses", "shared", "evictions", "stale", "panics", "entries", "bytes"} {
+		if _, ok := cache[name]; !ok {
 			t.Errorf("cache block missing %q", name)
 		}
 	}
-	if body.Repair == nil {
-		t.Fatal("healthz has no repair block")
+	if _, ok := cache["repaired"]; ok {
+		t.Error("cache block still has a repaired counter")
 	}
-	for name, p := range map[string]bool{
-		"reused": body.Repair.Reused != nil, "repaired": body.Repair.Repaired != nil,
-		"rebuilt": body.Repair.Rebuilt != nil, "copiedNodes": body.Repair.CopiedNodes != nil,
-		"rebuiltNodes": body.Repair.RebuiltNodes != nil,
-	} {
-		if !p {
-			t.Errorf("repair block missing %q", name)
-		}
+	var warmer *repro.WarmerStats
+	if err := json.Unmarshal(body["warmer"], &warmer); err != nil || warmer == nil {
+		t.Fatalf("healthz has no warmer block (%v)", err)
 	}
-	if body.Warmer == nil {
-		t.Fatal("healthz has no warmer block")
-	}
-	if body.Warmer.TopK != 4 {
-		t.Errorf("warmer topK = %d, want 4", body.Warmer.TopK)
+	if warmer.TopK != 4 {
+		t.Errorf("warmer topK = %d, want 4", warmer.TopK)
 	}
 	// The second serve hit a stale first-generation entry; it must have been
-	// counted, and satisfied by reuse/repair or rebuild — never silently.
-	if *body.Cache.Stale == 0 {
-		t.Error("no stale-offer counted after learn churn")
-	}
-	if *body.Repair.Reused+*body.Repair.Repaired+*body.Repair.Rebuilt == 0 {
-		t.Error("stale miss not accounted by the repair counters")
+	// counted.
+	var stale uint64
+	if err := json.Unmarshal(cache["stale"], &stale); err != nil || stale == 0 {
+		t.Errorf("no stale-offer counted after learn churn (stale=%d, %v)", stale, err)
 	}
 
 	// BeginShutdown stops the warmer; the block disappears from /healthz.

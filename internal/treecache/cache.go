@@ -15,9 +15,10 @@
 //
 // Superseded entries are not dead weight, though: DoStale lets a miss consult
 // the newest entry sharing the caller's base key (everything but the
-// generation) and hand it to the compute, which may repair it into the new
-// generation's value far cheaper than a cold build (DESIGN.md §13). Staleness
-// is resolved under the same singleflight as the compute itself.
+// generation) and hand it to the compute, which may reuse what does not
+// depend on the generation — the serving path takes the stale tree's result
+// rows and skips the selection (DESIGN.md §13). Staleness is resolved under
+// the same singleflight as the compute itself.
 package treecache
 
 import (
@@ -51,11 +52,8 @@ type Stats struct {
 	// Evictions counts values dropped to respect the bounds.
 	Evictions uint64 `json:"evictions"`
 	// Stale counts computations that were offered a superseded-generation
-	// value for their base key (a DoStale miss with repair material).
+	// value for their base key (a DoStale miss that found one).
 	Stale uint64 `json:"stale"`
-	// Repaired counts computes that reported deriving their value from the
-	// offered stale one instead of building cold.
-	Repaired uint64 `json:"repaired"`
 	// Panics counts computes that panicked. The panic is demoted to a
 	// *resilience.PanicError delivered to every waiter; nothing is cached
 	// and the process survives.
@@ -148,9 +146,8 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 // (the entry is not poisoned, the process survives). If ctx is canceled
 // while waiting, Do returns ctx's error.
 func (c *Cache[V]) Do(ctx context.Context, key string, compute func(context.Context) (V, int64, error)) (val V, hit bool, err error) {
-	return c.do(ctx, key, "", func(cctx context.Context, _ V, _ bool) (V, int64, bool, error) {
-		v, size, err := compute(cctx)
-		return v, size, false, err
+	return c.do(ctx, key, "", func(cctx context.Context, _ V, _ bool) (V, int64, error) {
+		return compute(cctx)
 	})
 }
 
@@ -158,17 +155,15 @@ func (c *Cache[V]) Do(ctx context.Context, key string, compute func(context.Cont
 // (including the stats generation), base is the generation-free prefix shared
 // by every generation of the same logical entry. On a miss, the newest stored
 // value under base — necessarily a superseded generation, or the full key
-// would have hit — is handed to compute as repair material (haveStale reports
-// whether one existed; its recency is not refreshed). compute additionally
-// returns repaired, true when the value was derived from the stale one rather
-// than built cold — counted separately so operators can see repair working.
-// All other semantics (singleflight, negative-size no-store, panic
-// containment, cancellation) match Do.
-func (c *Cache[V]) DoStale(ctx context.Context, key, base string, compute func(cctx context.Context, stale V, haveStale bool) (V, int64, bool, error)) (val V, hit bool, err error) {
+// would have hit — is handed to compute (haveStale reports whether one
+// existed; its recency is not refreshed) and counted in Stats.Stale. All
+// other semantics (singleflight, negative-size no-store, panic containment,
+// cancellation) match Do.
+func (c *Cache[V]) DoStale(ctx context.Context, key, base string, compute func(cctx context.Context, stale V, haveStale bool) (V, int64, error)) (val V, hit bool, err error) {
 	return c.do(ctx, key, base, compute)
 }
 
-func (c *Cache[V]) do(ctx context.Context, key, base string, compute func(context.Context, V, bool) (V, int64, bool, error)) (val V, hit bool, err error) {
+func (c *Cache[V]) do(ctx context.Context, key, base string, compute func(context.Context, V, bool) (V, int64, error)) (val V, hit bool, err error) {
 	var stale V
 	haveStale := false
 	c.mu.Lock()
@@ -199,17 +194,12 @@ func (c *Cache[V]) do(ctx context.Context, key, base string, compute func(contex
 	c.mu.Unlock()
 
 	go func() {
-		v, size, repaired, err := c.protectStale(cctx, stale, haveStale, compute)
+		v, size, err := c.protectStale(cctx, stale, haveStale, compute)
 		c.mu.Lock()
 		cl.val, cl.size, cl.err = v, size, err
 		delete(c.inflight, key)
-		if err == nil {
-			if repaired {
-				c.stats.Repaired++
-			}
-			if size >= 0 {
-				c.insertLocked(key, base, v, size)
-			}
+		if err == nil && size >= 0 {
+			c.insertLocked(key, base, v, size)
 		}
 		c.mu.Unlock()
 		cancel()
@@ -219,14 +209,13 @@ func (c *Cache[V]) do(ctx context.Context, key, base string, compute func(contex
 }
 
 // protectStale runs compute behind the singleflight resilience.Protect
-// boundary: a panic anywhere below (the categorizer, a repair, an injected
-// fault) becomes an error delivered to all waiters instead of tearing down
-// the process.
-func (c *Cache[V]) protectStale(cctx context.Context, stale V, haveStale bool, compute func(context.Context, V, bool) (V, int64, bool, error)) (V, int64, bool, error) {
+// boundary: a panic anywhere below (the categorizer, an injected fault)
+// becomes an error delivered to all waiters instead of tearing down the
+// process.
+func (c *Cache[V]) protectStale(cctx context.Context, stale V, haveStale bool, compute func(context.Context, V, bool) (V, int64, error)) (V, int64, error) {
 	type sized struct {
-		val      V
-		size     int64
-		repaired bool
+		val  V
+		size int64
 	}
 	out, err := resilience.Protect(
 		func(*resilience.PanicError) {
@@ -238,11 +227,11 @@ func (c *Cache[V]) protectStale(cctx context.Context, stale V, haveStale bool, c
 			if err := faultinject.Inject(cctx, faultinject.SiteCacheCompute); err != nil {
 				return sized{}, err
 			}
-			v, size, repaired, err := compute(cctx, stale, haveStale)
-			return sized{v, size, repaired}, err
+			v, size, err := compute(cctx, stale, haveStale)
+			return sized{v, size}, err
 		},
 	)
-	return out.val, out.size, out.repaired, err
+	return out.val, out.size, err
 }
 
 // wait blocks until the call completes or ctx is canceled. Abandoning the

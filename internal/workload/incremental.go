@@ -15,10 +15,12 @@ import (
 // safe for concurrent use with readers; callers that serve while learning
 // must serialize access (see the repro facade's AdaptiveSystem). All reader
 // methods stay strictly read-only, so any number of readers may run between
-// (externally serialized) AddQuery calls.
-func (s *Stats) AddQuery(q *sqlparse.Query, cfg Config) {
+// (externally serialized) AddQuery calls. It reports whether it folded the
+// query in: a query naming another table than cfg.Table is skipped and
+// leaves the tables untouched.
+func (s *Stats) AddQuery(q *sqlparse.Query, cfg Config) bool {
 	if cfg.Table != "" && !strings.EqualFold(q.Table, cfg.Table) {
-		return
+		return false
 	}
 	defer s.resortByFreq()
 	s.n++
@@ -78,6 +80,7 @@ func (s *Stats) AddQuery(q *sqlparse.Query, cfg Config) {
 		}
 		ri.insert(elo, ehi)
 	}
+	return true
 }
 
 // insert adds one range keeping the bound slices sorted.

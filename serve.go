@@ -15,7 +15,6 @@ import (
 	"repro/internal/resilience/faultinject"
 	"repro/internal/sqlparse"
 	"repro/internal/treecache"
-	"repro/internal/workload"
 )
 
 // The concurrent serving path (DESIGN.md §8): a request's SQL is parsed and
@@ -61,25 +60,21 @@ type ServeOutcome struct {
 // served is the tree cache's value type: the tree plus its degradation rung,
 // so singleflight waiters joining a degraded compute learn what they got.
 // Stored entries are always full fidelity (degraded computes are not
-// inserted). stats pins the immutable statistics snapshot the tree was built
-// under: when a later generation finds this entry stale, diffing that snapshot
-// against the current one decides whether the tree can be repaired in place
-// (DESIGN.md §13). memo is the entry's render memo, nil for degraded trees.
+// inserted). memo is the entry's render memo, nil for degraded trees.
 type served struct {
-	tree  *Tree
-	deg   Degradation
-	stats *workload.Stats
-	memo  *RenderMemo
+	tree *Tree
+	deg  Degradation
+	memo *RenderMemo
 }
 
 // entry wraps a full-fidelity tree as the tree-cache value to store under
 // key, with its byte size. The value's render memo charges what it stores
 // to that entry, and to no later entry recomputed under the same key.
 func (s *System) entry(key string, tree *Tree) (served, int64) {
-	v := served{tree: tree, stats: s.stats, memo: &RenderMemo{}}
+	v := served{tree: tree, memo: &RenderMemo{}}
 	c := s.cache
 	v.memo.charge = func(n int64) { treecache.Grow(c, key, v, n) }
-	return v, treeBytes(tree) + tree.TraceBytes()
+	return v, treeBytes(tree)
 }
 
 // RenderMemo is one tree-cache entry's memoized response (DESIGN.md §8).
@@ -164,47 +159,20 @@ func (s *System) ResilienceStats() ResilienceStats {
 	}
 }
 
-// repairCounters tracks how stale-entry revalidation resolves (DESIGN.md
-// §13). Shared (by pointer) across an AdaptiveSystem's snapshots like the
-// cache and the resilience counters: repair activity is a property of the
-// serving process.
-type repairCounters struct {
-	reused       atomic.Uint64
-	repaired     atomic.Uint64
-	rebuilt      atomic.Uint64
-	copiedNodes  atomic.Uint64
-	rebuiltNodes atomic.Uint64
-}
-
-// RepairStats is a point-in-time snapshot of stale-tree revalidation activity
-// (surfaced in /healthz). Every counter describes a cache miss that found a
-// superseded-generation tree to start from.
+// RepairStats is what remains of the stale-tree repair counters, which were
+// deleted with incremental repair (DESIGN.md §13). Both fields are always 0.
+//
+// Deprecated: the only reader is perfbench's traced run, which derives
+// category.copied_node_ratio from it. The ROADMAP item "A stage spine inside
+// the server" replaces that run's in-process replay and removes this type.
 type RepairStats struct {
-	// Reused counts stale trees adopted unchanged because the statistics
-	// diff was empty (a Learn that didn't move any table).
-	Reused uint64 `json:"reused"`
-	// Repaired counts stale trees incrementally repaired into the new
-	// generation; Rebuilt counts the ones where repair declined (no trace,
-	// budget exceeded, correlation model active) and a cold build ran.
-	Repaired uint64 `json:"repaired"`
-	Rebuilt  uint64 `json:"rebuilt"`
-	// CopiedNodes and RebuiltNodes sum RepairInfo over successful repairs:
-	// how much tree structure was reused versus rebuilt below divergences.
-	CopiedNodes  uint64 `json:"copiedNodes"`
-	RebuiltNodes uint64 `json:"rebuiltNodes"`
+	CopiedNodes, RebuiltNodes uint64
 }
 
-// RepairStats returns the stale-tree revalidation counters. For an
-// AdaptiveSystem the counters are shared across snapshots.
-func (s *System) RepairStats() RepairStats {
-	return RepairStats{
-		Reused:       s.repairc.reused.Load(),
-		Repaired:     s.repairc.repaired.Load(),
-		Rebuilt:      s.repairc.rebuilt.Load(),
-		CopiedNodes:  s.repairc.copiedNodes.Load(),
-		RebuiltNodes: s.repairc.rebuiltNodes.Load(),
-	}
-}
+// RepairStats returns the zero RepairStats.
+//
+// Deprecated: read only by perfbench's traced run; removed with RepairStats.
+func (s *System) RepairStats() RepairStats { return RepairStats{} }
 
 // SelectStats is a point-in-time snapshot of the relation's selection
 // counters: select count, cumulative selection time, and the conjunct-bitmap
@@ -302,25 +270,19 @@ func (s *System) ServeParsedWith(ctx context.Context, q *Query, tech Technique, 
 	}
 	key := s.cacheKey(q, tech, opts)
 	v, hit, err := s.cache.DoStale(ctx, key, s.cacheBaseKey(q, tech, opts),
-		func(cctx context.Context, stale served, haveStale bool) (served, int64, bool, error) {
-			if haveStale {
-				if tree, ok := s.repairFromStale(cctx, q, stale, tech, opts); ok {
-					v, size := s.entry(key, tree)
-					return v, size, true, nil
-				}
-			}
+		func(cctx context.Context, stale served, haveStale bool) (served, int64, error) {
 			rows := s.staleRows(q, stale, haveStale)
 			tree, deg, err := s.buildLadder(cctx, q, rows, tech, opts, pol)
 			if err != nil {
-				return served{}, 0, false, err
+				return served{}, 0, err
 			}
 			if deg != DegradeNone {
 				// A degraded tree is an overload artifact, not the query's true
 				// categorization: hand it to the waiters, store nothing.
-				return served{tree: tree, deg: deg, stats: s.stats}, -1, false, nil
+				return served{tree: tree, deg: deg}, -1, nil
 			}
 			v, size := s.entry(key, tree)
-			return v, size, false, nil
+			return v, size, nil
 		})
 	if err != nil {
 		return out, mapDeadlineErr(ctx, err)
@@ -334,52 +296,14 @@ func (s *System) ServeParsedWith(ctx context.Context, q *Query, tech Technique, 
 
 // staleRows returns the result rows for a cache-miss build. A stale entry's
 // root tuple-set IS the query's result: the base key includes the relation's
-// data generation, so the stale tree was selected from exactly these rows —
-// the selection can be skipped even when the tree itself cannot be repaired.
+// data generation, so the stale tree was selected from exactly these rows
+// and the miss can skip the selection (DESIGN.md §13). A stale miss is
+// otherwise an ordinary cold build under the current statistics.
 func (s *System) staleRows(q *Query, stale served, haveStale bool) []int {
 	if haveStale && stale.tree != nil {
 		return stale.tree.Root.Tset
 	}
 	return s.rel.Select(q.Predicate())
-}
-
-// repairFromStale tries to revalidate a superseded-generation cache entry
-// against the current statistics snapshot (DESIGN.md §13): an empty diff
-// adopts the stale tree outright; otherwise the recorded build trace drives
-// an incremental repair that is byte-identical to a cold build. ok=false
-// means the caller must build cold (and the decline was counted). Runs inside
-// the cache's singleflight, behind its panic boundary.
-func (s *System) repairFromStale(ctx context.Context, q *Query, stale served, tech Technique, opts Options) (*Tree, bool) {
-	if tech != CostBased || s.corr != nil || stale.tree == nil || stale.stats == nil || stale.deg != DegradeNone {
-		return nil, false
-	}
-	diff := workload.DiffStats(stale.stats, s.stats, 0)
-	if diff.Same {
-		// The learn didn't move any table this tree reads: same tree, new
-		// generation key.
-		s.repairc.reused.Add(1)
-		return stale.tree, true
-	}
-	if stale.tree.Trace == nil {
-		s.repairc.rebuilt.Add(1)
-		return nil, false
-	}
-	if opts.Shards == 0 {
-		opts.Shards = s.opts.Shards
-	}
-	c := category.NewCategorizer(s.stats, opts)
-	c.Ctx = ctx
-	c.Counters = s.shardc
-	c.RecordTrace = true // the repaired tree must itself be repairable
-	tree, info, err := c.Repair(s.rel, q, stale.tree, diff)
-	if err != nil || !info.OK {
-		s.repairc.rebuilt.Add(1)
-		return nil, false
-	}
-	s.repairc.repaired.Add(1)
-	s.repairc.copiedNodes.Add(uint64(info.CopiedNodes))
-	s.repairc.rebuiltNodes.Add(uint64(info.RebuiltNodes))
-	return tree, true
 }
 
 // Peek returns the memoized full-fidelity tree for q if one is stored,
@@ -511,10 +435,6 @@ func (s *System) buildTree(ctx context.Context, q *Query, rows []int, tech Techn
 		c.Corr = s.corr
 		c.Ctx = ctx
 		c.Counters = s.shardc
-		// Cached builds record the repair trace (DESIGN.md §13): the tree may
-		// outlive this statistics generation as stale repair material. One-shot
-		// uncached builds skip the bookkeeping.
-		c.RecordTrace = s.cache.Enabled()
 		return c.CategorizeRows(s.rel, q, rows)
 		// Cost-based trees carry their (possibly path-conditional)
 		// probabilities from construction; no re-annotation.
@@ -560,11 +480,11 @@ func (s *System) cacheKey(q *Query, tech Technique, opts Options) string {
 // cacheBaseKey is the generation-free prefix of cacheKey: everything that
 // identifies the logical entry (signature, technique, options, data
 // generation) except the stats generation. Two cache keys sharing a base key
-// are the same query under different statistics snapshots — which is exactly
-// the relation that makes a superseded entry valid repair material, so the
-// cache indexes stale lookups by this prefix. The data generation stays in
-// the base: a tree built before an Append categorizes different rows and can
-// repair nothing.
+// are the same query, over the same rows, under different statistics
+// snapshots — so a superseded entry's root tuple-set is the new build's
+// result set, and the cache indexes stale lookups by this prefix. The data
+// generation stays in the base: a tree built before an Append categorizes
+// different rows.
 func (s *System) cacheBaseKey(q *Query, tech Technique, opts Options) string {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%d|%s|%s|%d|%d|%s|%t|%t|%d|%d|%t|%d|%d|%s",

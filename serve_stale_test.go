@@ -26,7 +26,7 @@ func treeFingerprint(t *repro.Tree) string {
 }
 
 // cachedAdaptiveFixture is adaptiveFixture plus a tree cache, the
-// configuration under which serving records repair traces.
+// configuration under which a learn turns cached trees into stale entries.
 func cachedAdaptiveFixture(t *testing.T, rows, queries int) *repro.AdaptiveSystem {
 	t.Helper()
 	rel := repro.DemoDataset(rows, 1)
@@ -45,11 +45,26 @@ func cachedAdaptiveFixture(t *testing.T, rows, queries int) *repro.AdaptiveSyste
 	return a
 }
 
-// TestServeRepairEquivalence drives the full serving path through a learn
+// coldTree builds sql's tree the reference way: a fresh system with no tree
+// cache and Shards=1 over sys's relation and statistics snapshot.
+func coldTree(t *testing.T, sys *repro.System, sql string) *repro.Tree {
+	t.Helper()
+	fresh, err := repro.NewSystem(sys.Relation(), repro.Config{Stats: sys.Stats(), Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _, _, err := fresh.Serve(context.Background(), sql, repro.CostBased, repro.Options{})
+	if err != nil {
+		t.Fatalf("reference build: %v", err)
+	}
+	return want
+}
+
+// TestServeStaleEquivalence drives the full serving path through a learn
 // step: the second serve of the same query finds the first generation's tree
-// stale, repairs (or reuses) it, and must produce exactly the tree a cold
+// stale, builds from its rows, and must produce exactly the tree a cold
 // build under the new statistics would.
-func TestServeRepairEquivalence(t *testing.T) {
+func TestServeStaleEquivalence(t *testing.T) {
 	a := cachedAdaptiveFixture(t, 3000, 2000)
 	ctx := context.Background()
 	sql := "SELECT * FROM ListProperty WHERE neighborhood IN ('Seattle, WA','Bellevue, WA') AND price BETWEEN 200000 AND 400000"
@@ -72,6 +87,7 @@ func TestServeRepairEquivalence(t *testing.T) {
 	if sys1.Generation() == sys0.Generation() {
 		t.Fatalf("learn did not bump the generation")
 	}
+	staleBefore, selectsBefore := sys1.CacheStats().Stale, sys1.SelectStats().Selects
 	tree, _, hit, err := sys1.Serve(ctx, sql, repro.CostBased, repro.Options{})
 	if err != nil {
 		t.Fatalf("post-learn serve: %v", err)
@@ -79,54 +95,43 @@ func TestServeRepairEquivalence(t *testing.T) {
 	if hit {
 		t.Fatalf("post-learn serve reported a hit; the generation moved")
 	}
-	rs := sys1.RepairStats()
-	if rs.Repaired+rs.Reused == 0 {
-		t.Fatalf("stale entry was not repaired or reused: %+v", rs)
+	if got := sys1.CacheStats().Stale - staleBefore; got != 1 {
+		t.Fatalf("post-learn serve was offered %d stale entries, want 1", got)
+	}
+	// The stale entry's rows are the result: the miss runs no selection.
+	if got := sys1.SelectStats().Selects - selectsBefore; got != 0 {
+		t.Errorf("stale miss ran %d selections, want 0", got)
 	}
 
 	// The ground truth: a fresh cacheless system over the same statistics
 	// snapshot must build the identical tree from scratch.
-	fresh, err := repro.NewSystem(sys1.Relation(), repro.Config{Stats: sys1.Stats()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, _, err := fresh.Serve(ctx, sql, repro.CostBased, repro.Options{})
-	if err != nil {
-		t.Fatalf("reference rebuild: %v", err)
-	}
-	if got, exp := treeFingerprint(tree), treeFingerprint(want); got != exp {
-		t.Errorf("repaired serve differs from cold rebuild:\nrepair:\n%s\nrebuild:\n%s", got, exp)
+	if got, exp := treeFingerprint(tree), treeFingerprint(coldTree(t, sys1, sql)); got != exp {
+		t.Errorf("stale-miss serve differs from cold rebuild:\nserved:\n%s\nrebuild:\n%s", got, exp)
 	}
 
 	// And the served tree must now be cached under the new generation.
 	if _, _, hit, err = sys1.Serve(ctx, sql, repro.CostBased, repro.Options{}); err != nil || !hit {
-		t.Fatalf("repaired tree not cached: hit=%v err=%v", hit, err)
+		t.Fatalf("stale-miss tree not cached: hit=%v err=%v", hit, err)
 	}
 }
 
-// TestServeRepairAcrossGenerations chains several learns, serving between
-// each: every serve must match a cold rebuild of its generation, no matter
-// how many times the underlying entry has been repaired.
-func TestServeRepairAcrossGenerations(t *testing.T) {
+// TestServeStaleAcrossGenerations chains several learns, serving between
+// each: every serve must match a cold rebuild of its generation, however
+// many generations the entry's rows have been carried through.
+func TestServeStaleAcrossGenerations(t *testing.T) {
 	a := cachedAdaptiveFixture(t, 2000, 1500)
 	ctx := context.Background()
 	sql := "SELECT * FROM ListProperty WHERE neighborhood IN ('Seattle, WA') AND price BETWEEN 150000 AND 450000"
 
-	for round := 0; round < 4; round++ {
+	staleBefore := a.System().CacheStats().Stale
+	const rounds = 4
+	for round := 0; round < rounds; round++ {
 		sys := a.System()
 		tree, _, _, err := sys.Serve(ctx, sql, repro.CostBased, repro.Options{})
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		fresh, err := repro.NewSystem(sys.Relation(), repro.Config{Stats: sys.Stats()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, _, _, err := fresh.Serve(ctx, sql, repro.CostBased, repro.Options{})
-		if err != nil {
-			t.Fatalf("round %d reference: %v", round, err)
-		}
-		if treeFingerprint(tree) != treeFingerprint(want) {
+		if treeFingerprint(tree) != treeFingerprint(coldTree(t, sys, sql)) {
 			t.Fatalf("round %d: served tree diverged from cold rebuild", round)
 		}
 		if err := a.Learn(fmt.Sprintf(
@@ -134,8 +139,55 @@ func TestServeRepairAcrossGenerations(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if rs := a.System().RepairStats(); rs.Repaired == 0 {
-		t.Errorf("no incremental repairs across 4 generations: %+v", rs)
+	// Every round after the first missed on the previous round's entry.
+	if got := a.System().CacheStats().Stale - staleBefore; got != rounds-1 {
+		t.Errorf("%d stale misses across %d generations, want %d", got, rounds, rounds-1)
+	}
+}
+
+// TestServeStaleNeverCrossesAppend: an entry's rows are reused only within
+// its data generation. After an Append, a learn makes the cached entry
+// stale, but the base key has moved with the data, so the miss is offered
+// nothing and selects again, and the new row is categorized.
+func TestServeStaleNeverCrossesAppend(t *testing.T) {
+	a := cachedAdaptiveFixture(t, 2000, 1500)
+	ctx := context.Background()
+	sql := "SELECT * FROM ListProperty WHERE neighborhood IN ('Seattle, WA') AND price BETWEEN 150000 AND 450000"
+
+	sys0 := a.System()
+	tree0, n0, _, err := sys0.Serve(ctx, sql, repro.CostBased, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n0 == 0 {
+		t.Fatal("query matches no rows; nothing to copy")
+	}
+	rel := sys0.Relation()
+	rel.MustAppend(append(repro.Tuple(nil), rel.Row(tree0.Root.Tset[0])...))
+	if err := a.Learn("SELECT * FROM ListProperty WHERE price BETWEEN 300000 AND 500000"); err != nil {
+		t.Fatal(err)
+	}
+
+	sys1 := a.System()
+	staleBefore, selectsBefore := sys1.CacheStats().Stale, sys1.SelectStats().Selects
+	tree, n1, hit, err := sys1.Serve(ctx, sql, repro.CostBased, repro.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit {
+		t.Fatal("post-append, post-learn serve reported a hit")
+	}
+	if n1 != n0+1 {
+		t.Errorf("result count %d after appending a matching row, want %d", n1, n0+1)
+	}
+	if got := sys1.CacheStats().Stale - staleBefore; got != 0 {
+		t.Errorf("serve after an Append was offered %d stale entries, want 0", got)
+	}
+	if got := sys1.SelectStats().Selects - selectsBefore; got != 1 {
+		t.Errorf("serve after an Append ran %d selections, want 1", got)
+	}
+	if got, exp := treeFingerprint(tree), treeFingerprint(coldTree(t, sys1, sql)); got != exp {
+		t.Errorf("post-append serve differs from cold rebuild:\nserved:\n%s\nrebuild:\n%s", got, exp)
 	}
 }
 

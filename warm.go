@@ -9,15 +9,14 @@ import (
 
 	"repro/internal/resilience"
 	"repro/internal/sqlparse"
-	"repro/internal/workload"
 )
 
 // Predictive cache pre-warming (DESIGN.md §13): every published Learn bumps
 // the statistics generation, which makes every cached tree stale at once. The
 // warmer rides behind the learn stream and re-categorizes the most-requested
 // workload signatures into the new generation before users ask again, so the
-// foreground path finds warm entries (or at worst repairs stale ones) instead
-// of paying cold builds in a thundering herd.
+// foreground path finds warm entries instead of paying stale-miss builds in a
+// thundering herd.
 //
 // Warming is strictly background work: each build takes an admission slot
 // only via Limiter.TryAcquireIdle — a free slot with an empty queue — so a
@@ -35,14 +34,9 @@ type WarmerConfig struct {
 	// <= 0 disables warming (StartWarmer returns nil).
 	TopK int
 	// Budget is the wall budget for one warming build; default 2s. A build
-	// that blows it is dropped (the foreground path will build or repair on
-	// demand) — warming never uses the degradation ladder.
+	// that blows it is dropped (the foreground path will build on demand) —
+	// warming never uses the degradation ladder.
 	Budget time.Duration
-	// Epsilon is the relative statistics-drift threshold below which a cycle
-	// is skipped entirely: DiffStats(lastWarmed, current, Epsilon).Same means
-	// no table this warmer's trees read moved enough to matter. 0 skips only
-	// bit-identical snapshots.
-	Epsilon float64
 	// Tech and Opts are the technique and categorizer options warmed trees
 	// are built (and keyed) with; the zero Tech is CostBased.
 	Tech Technique
@@ -58,10 +52,10 @@ type WarmerConfig struct {
 // /healthz).
 type WarmerStats struct {
 	// Cycles counts completed warm cycles; SkippedCycles the ones abandoned
-	// because statistics drift since the last cycle was under Epsilon.
+	// because the statistics generation had not moved since the last cycle.
 	Cycles        uint64 `json:"cycles"`
 	SkippedCycles uint64 `json:"skippedCycles"`
-	// Warmed counts trees built (or repaired) into the cache by warming;
+	// Warmed counts trees built into the cache by warming;
 	// AlreadyCached counts top-K signatures found warm already; Busy counts
 	// signatures skipped because the limiter had no idle slot; Errors counts
 	// failed warming builds (budget blown, build error).
@@ -88,7 +82,10 @@ type Warmer struct {
 	mu     sync.Mutex
 	counts map[string]*warmSig
 	seq    uint64
-	last   *workload.Stats // snapshot the previous cycle warmed against
+	// lastGen is the generation the previous cycle warmed, valid once
+	// cycled is set.
+	lastGen uint64
+	cycled  bool
 
 	notify chan struct{} // coalescing learn signal (capacity 1)
 	quit   chan struct{}
@@ -224,17 +221,18 @@ func (w *Warmer) protectedWarmCycle() {
 }
 
 // warmCycle warms the current top-K signatures against the current snapshot.
-// One cycle may cover several coalesced learns; a cycle whose statistics
-// drift since the last one is within Epsilon is a no-op.
+// One cycle may cover several coalesced learns; a cycle that finds the
+// generation the previous one warmed is a no-op.
 func (w *Warmer) warmCycle() {
 	sys := w.a.System()
+	gen := sys.Generation()
 	w.mu.Lock()
-	if w.last != nil && workload.DiffStats(w.last, sys.stats, w.cfg.Epsilon).Same {
+	if w.cycled && w.lastGen == gen {
 		w.mu.Unlock()
 		w.skipped.Add(1)
 		return
 	}
-	w.last = sys.stats
+	w.lastGen, w.cycled = gen, true
 	top := make([]warmSig, 0, len(w.counts))
 	for _, e := range w.counts {
 		top = append(top, *e)

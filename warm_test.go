@@ -115,31 +115,44 @@ func TestWarmCycleRespectsBusyLimiter(t *testing.T) {
 	}
 }
 
-// TestWarmCycleSkipsWithinEpsilon: a second cycle with no statistics movement
-// is a no-op, and drift below the epsilon threshold also is.
-func TestWarmCycleSkipsWithinEpsilon(t *testing.T) {
+// TestWarmCycleSkipsSameGeneration: a cycle that finds the generation the
+// previous cycle warmed is a no-op, and a learn that publishes a new
+// generation makes the next cycle run.
+func TestWarmCycleSkipsSameGeneration(t *testing.T) {
 	a := warmFixture(t)
-	w := bareWarmer(a, WarmerConfig{TopK: 1, Epsilon: 0.5})
-	q := mustParse(t, "SELECT * FROM ListProperty WHERE neighborhood IN ('Seattle, WA')")
+	w := bareWarmer(a, WarmerConfig{TopK: 1})
+	sql := "SELECT * FROM ListProperty WHERE neighborhood IN ('Seattle, WA')"
+	q := mustParse(t, sql)
 	w.observe([]*sqlparse.Query{q})
 
 	w.warmCycle()
 	if s := w.snapshot(); s.Cycles != 1 || s.SkippedCycles != 0 {
 		t.Fatalf("first cycle: %+v", s)
 	}
-	// No learn between cycles: identical snapshot, skipped.
+	// No learn between cycles: same generation, skipped.
 	w.warmCycle()
 	if s := w.snapshot(); s.Cycles != 1 || s.SkippedCycles != 1 {
-		t.Fatalf("identical-stats cycle not skipped: %+v", s)
+		t.Fatalf("same-generation cycle not skipped: %+v", s)
 	}
-	// One learned query against a 1500-query workload is far under a 50%
-	// relative epsilon: still skipped.
-	if err := a.Learn("SELECT * FROM ListProperty WHERE neighborhood IN ('Seattle, WA')"); err != nil {
+	// A learn that folds nothing in publishes no generation: still skipped.
+	if err := a.Learn("SELECT * FROM Other WHERE price < 5"); err != nil {
 		t.Fatal(err)
 	}
 	w.warmCycle()
 	if s := w.snapshot(); s.Cycles != 1 || s.SkippedCycles != 2 {
-		t.Fatalf("sub-epsilon drift cycle not skipped: %+v", s)
+		t.Fatalf("cycle after an empty learn not skipped: %+v", s)
+	}
+	// A learn that publishes a new generation: the cycle runs and warms q
+	// into it.
+	if err := a.Learn(sql); err != nil {
+		t.Fatal(err)
+	}
+	w.warmCycle()
+	if s := w.snapshot(); s.Cycles != 2 || s.SkippedCycles != 2 || s.Warmed != 2 {
+		t.Fatalf("new-generation cycle: %+v, want cycles=2 skipped=2 warmed=2", s)
+	}
+	if _, ok := a.System().Peek(q, CostBased, Options{}); !ok {
+		t.Fatal("new-generation cycle did not warm the signature")
 	}
 
 	// Already-cached signatures count as AlreadyCached, not re-warmed.

@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race bench bench-all servebench selectbench shardbench warmbench segmentbench perfbench check chaos crashchaos report examples fuzz lint lint-selfcheck lint-perf ci clean
+.PHONY: all build test race bench bench-all servebench selectbench warmbench segmentbench perfbench check chaos crashchaos report examples fuzz lint lint-selfcheck lint-perf ci clean
 
 all: build test
 
@@ -14,9 +14,9 @@ test:
 race:
 	go test -race ./...
 
-# Vet, catlint, plus the race-checked hot packages: the categorizer's worker
-# pool, the relation's column caches and conjunct-bitmap cache, and the
-# serving path (singleflight tree cache, snapshot-swapped workload stats,
+# Vet, catlint, plus the race-checked hot packages: the categorizer building
+# over a relation that is being appended to, the relation's column caches and
+# conjunct-bitmap cache, and the serving path (singleflight tree cache, snapshot-swapped workload stats,
 # bounded session table, admission limiter, fault injector).
 check: lint
 	go test -race ./internal/category ./internal/relation ./internal/sqlparse \
@@ -117,20 +117,6 @@ selectbench:
 		  -o BENCH_select.json
 	@echo wrote BENCH_select.json
 
-# The shard-parallel numbers, recorded as BENCH_shard.json: the
-# BenchmarkCategorizeSharded shards=1,2,4,8 scaling curve plus a fresh
-# BenchmarkCategorize run, then `benchjson -diff` folds the ratios against
-# the recorded BENCH_categorize.json into the document's note — the shards=1
-# no-regression check (DESIGN.md §12).
-shardbench:
-	go test -run='^$$' -bench='^BenchmarkCategorize(Sharded)?$$' -benchmem -count=5 ./internal/category \
-		| tee shardbench_output.txt \
-		| go run ./cmd/benchjson \
-		  -note "shard-parallel categorization, rows=20000, shards=1,2,4,8 (DESIGN.md §12)" \
-		  -o BENCH_shard.json
-	go run ./cmd/benchjson -diff -o BENCH_shard.json BENCH_categorize.json BENCH_shard.json
-	@echo wrote BENCH_shard.json
-
 # The segmented-storage numbers, recorded as BENCH_segment.json: steady-state
 # per-row Append cost at growing preloads, the append-then-read cost of the
 # incremental maintenance path against the replayed drop-everything design on
@@ -187,6 +173,6 @@ fuzz:
 	go test ./internal/relation -fuzz=FuzzVectorizedSelect -fuzztime=30s
 
 clean:
-	rm -f experiments_report.txt experiments_report.json test_output.txt bench_output.txt servebench_output.txt selectbench_output.txt shardbench_output.txt warmbench_output.txt segmentbench_output.txt
+	rm -f experiments_report.txt experiments_report.json test_output.txt bench_output.txt servebench_output.txt selectbench_output.txt warmbench_output.txt segmentbench_output.txt
 	rm -f catlint catlint.json lint_output.txt
 	rm -rf .bench_build

@@ -140,16 +140,15 @@ func (a *AdaptiveSystem) learn(qs ...*sqlparse.Query) {
 	defer a.learnMu.Unlock()
 	old := a.cur.Load()
 	next := &System{
-		rel:    old.rel,
-		stats:  old.stats.Clone(),
-		opts:   old.opts,
-		wl:     old.wl.Clone(),
-		wcfg:   old.wcfg,
-		cache:  old.cache,
-		gen:    old.gen + 1,
-		resil:  old.resil,
-		shardc: old.shardc,
-		dur:    old.dur,
+		rel:   old.rel,
+		stats: old.stats.Clone(),
+		opts:  old.opts,
+		wl:    old.wl.Clone(),
+		wcfg:  old.wcfg,
+		cache: old.cache,
+		gen:   old.gen + 1,
+		resil: old.resil,
+		dur:   old.dur,
 	}
 	if old.corr != nil {
 		next.corr = old.corr.Clone()

@@ -146,19 +146,19 @@ type Config struct {
 	// per-query conditions must be retained; precomputed Stats are not
 	// enough).
 	Correlations bool
-	// Shards is the default shard-parallel fan-out for categorization builds
-	// (DESIGN.md §12): large tree nodes are counted and filled by this many
-	// concurrent span workers. It seeds Options.Shards when that is zero, so
-	// per-request option sets inherit it. 0 means one shard per available
-	// CPU; 1 disables sharding. The built trees are byte-identical at every
-	// shard count — this is purely a latency knob.
+	// Shards is ignored: every categorization partitions its nodes with one
+	// sequential counting pass (DESIGN.md §12).
+	//
+	// Deprecated: the only writer is perfbench's reference server, which
+	// sets it to 1. The ROADMAP item "A stage spine inside the server"
+	// rewrites that server and removes this field.
 	Shards int
 	// TreeCacheEntries / TreeCacheBytes bound the serving path's memoized
 	// tree cache (DESIGN.md §8): semantically identical queries (canonical
 	// signature) with the same technique, options, and stats generation are
 	// served the same *Tree, and concurrent identical misses collapse into
-	// one categorization. TreeCacheBytes counts each entry's tree, its build
-	// trace and its memoized response body (RenderMemo) together. Both zero
+	// one categorization. TreeCacheBytes counts each entry's tree and its
+	// memoized response body (RenderMemo) together. Both zero
 	// disables caching. A zero bound on one dimension leaves that dimension
 	// unbounded.
 	TreeCacheEntries int
@@ -191,9 +191,6 @@ type System struct {
 	// resil counts degradations and recovered panics on the serving path
 	// (§10); shared across an AdaptiveSystem's snapshots, like the cache.
 	resil *resilienceCounters
-	// shardc counts shard-parallel build activity (§12); shared across an
-	// AdaptiveSystem's snapshots like resil, fresh per Personalize.
-	shardc *category.ShardCounters
 	// dur is the durable segment store backing rel (nil for in-memory
 	// systems); shared across an AdaptiveSystem's snapshots like the
 	// relation itself (§15).
@@ -214,12 +211,6 @@ func NewSystem(rel *Relation, cfg Config) (*System, error) {
 		})
 	}
 	resil := &resilienceCounters{}
-	shardc := &category.ShardCounters{}
-	if cfg.Options.Shards == 0 {
-		// System-level default flows into every build that doesn't pick its
-		// own shard count (catserve -shards reaches per-request builds here).
-		cfg.Options.Shards = cfg.Shards
-	}
 	stats := cfg.Stats
 	var corr *workload.CondIndex
 	if stats == nil {
@@ -249,12 +240,12 @@ func NewSystem(rel *Relation, cfg Config) (*System, error) {
 		if cfg.Correlations {
 			corr = workload.NewCondIndex(w, wcfg)
 		}
-		return &System{rel: rel, stats: stats, opts: cfg.Options, corr: corr, wl: w, wcfg: wcfg, cache: cache, resil: resil, shardc: shardc, dur: cfg.Durable}, nil
+		return &System{rel: rel, stats: stats, opts: cfg.Options, corr: corr, wl: w, wcfg: wcfg, cache: cache, resil: resil, dur: cfg.Durable}, nil
 	}
 	if cfg.Correlations {
 		return nil, fmt.Errorf("repro: Correlations requires the raw workload (WorkloadSQL or WorkloadReader), not precomputed Stats")
 	}
-	return &System{rel: rel, stats: stats, opts: cfg.Options, cache: cache, resil: resil, shardc: shardc, dur: cfg.Durable}, nil
+	return &System{rel: rel, stats: stats, opts: cfg.Options, cache: cache, resil: resil, dur: cfg.Durable}, nil
 }
 
 // Personalize returns a new System whose workload statistics blend this
@@ -274,14 +265,13 @@ func (s *System) Personalize(history []string, weight int) (*System, error) {
 	}
 	merged := workload.Merge(s.wl, personal, weight)
 	out := &System{
-		rel:    s.rel,
-		stats:  workload.Preprocess(merged, s.wcfg),
-		opts:   s.opts,
-		wl:     merged,
-		wcfg:   s.wcfg,
-		resil:  &resilienceCounters{},
-		shardc: &category.ShardCounters{},
-		dur:    s.dur, // same relation, same backing store
+		rel:   s.rel,
+		stats: workload.Preprocess(merged, s.wcfg),
+		opts:  s.opts,
+		wl:    merged,
+		wcfg:  s.wcfg,
+		resil: &resilienceCounters{},
+		dur:   s.dur, // same relation, same backing store
 	}
 	if s.cache.Enabled() {
 		// The personalized statistics are a different key space; sharing the

@@ -508,34 +508,6 @@ func BenchmarkCostEstimation(b *testing.B) {
 	}
 }
 
-// BenchmarkCategorizeSharded sweeps the shard-parallel fan-out over a full
-// query-driven build — the end-to-end counterpart of the internal/category
-// sweep behind BENCH_shard.json.
-func BenchmarkCategorizeSharded(b *testing.B) {
-	env := mustEnv(b)
-	var qw *sqlparse.Query
-	for _, cand := range env.W.Queries {
-		if q, ok := datagen.Broaden(cand); ok {
-			qw = q
-			break
-		}
-	}
-	rows := env.R.Select(qw.Predicate())
-	for _, shards := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			cat := category.NewCategorizer(env.FullStats, category.Options{
-				M: env.Cfg.M, K: env.Cfg.K, X: env.Cfg.X, Shards: shards,
-			})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := cat.CategorizeRows(env.R, qw, rows); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkCategorizeScaling measures the cost-based algorithm as the result
 // set grows, confirming the near-linear behaviour behind Figure 13.
 func BenchmarkCategorizeScaling(b *testing.B) {

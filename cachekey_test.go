@@ -7,10 +7,7 @@ import (
 
 // cacheKeyExcluded names the Options fields cacheBaseKey deliberately leaves
 // out. Each may only be a field that cannot change the built tree.
-var cacheKeyExcluded = map[string]bool{
-	// Trees are byte-identical at every shard count (DESIGN.md §12).
-	"Shards": true,
-}
+var cacheKeyExcluded = map[string]bool{}
 
 // TestCacheKeyCoversEveryOption walks Options by reflection: setting any
 // field to a non-default value must change cacheBaseKey, and setting an

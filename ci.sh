@@ -39,9 +39,8 @@ step "race detector on the hot packages"
 go test -race ./internal/category ./internal/relation ./internal/sqlparse \
     ./internal/treecache ./internal/server ./internal/resilience/... .
 
-step "shard-parallel equivalence + concurrent append under race"
-go test -race -count=1 -run 'TestShard|TestConcurrentCategorizeAppend' \
-    ./internal/category ./internal/relation
+step "concurrent categorize/append under race"
+go test -race -count=1 -run 'TestConcurrentCategorizeAppend' ./internal/category
 
 step "segmented storage: seal/select races + golden equivalence under race"
 go test -race -count=1 \

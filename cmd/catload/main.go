@@ -63,7 +63,6 @@ func main() {
 
 		cacheEntries = flag.Int("cache-entries", 256, "tree cache entry bound for the -inproc cached server")
 		cacheMB      = flag.Int64("cache-mb", 64, "tree cache byte bound in MiB for the -inproc cached server")
-		shards       = flag.Int("shards", 0, "shard-parallel fan-out for the -inproc servers (0 = GOMAXPROCS, 1 = off)")
 
 		warmbench  = flag.Bool("warmbench", false, "run the 3-phase learn-storm warming benchmark in-process (see cmd/catload/warmbench.go)")
 		learnEvery = flag.Int("learn-every", 25, "warmbench: learn a batch every this many requests")
@@ -82,7 +81,6 @@ func main() {
 			total: *total, learnEvery: *learnEvery,
 			topK: *warmTopK, budget: *warmBudget, think: *think,
 			cacheEntries: *cacheEntries, cacheBytes: *cacheMB << 20,
-			shards: *shards,
 		}, *bench)
 		return
 	}
@@ -112,7 +110,6 @@ func main() {
 		sys, err := repro.NewSystem(repro.DemoDataset(*rows, *seed), repro.Config{
 			WorkloadSQL:      repro.DemoWorkloadSQL(*queries, *seed+1),
 			Intervals:        repro.DemoIntervals(),
-			Shards:           *shards,
 			TreeCacheEntries: entries,
 			TreeCacheBytes:   bytes,
 		})

@@ -36,7 +36,6 @@ type warmbenchConfig struct {
 	think         time.Duration
 	cacheEntries  int
 	cacheBytes    int64
-	shards        int
 }
 
 // warmbenchResult is one phase's samples split by cache disposition, plus the
@@ -85,7 +84,6 @@ func warmbenchPhase(cfg warmbenchConfig, label string, storm, warming bool) *war
 	sys, err := repro.NewSystem(repro.DemoDataset(cfg.rows, cfg.seed), repro.Config{
 		WorkloadSQL:      repro.DemoWorkloadSQL(cfg.queries, cfg.seed+1),
 		Intervals:        repro.DemoIntervals(),
-		Shards:           cfg.shards,
 		TreeCacheEntries: cfg.cacheEntries,
 		TreeCacheBytes:   cfg.cacheBytes,
 	})

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	catserve [-addr :8080] [-rows N] [-queries N] [-seed N] [-csv file] [-workload file] [-data-dir DIR] [-fsync POLICY] [-correlations] [-learn] [-cache-entries N] [-cache-mb N] [-max-concurrent N] [-max-queue N] [-deadline D] [-soft-budget D] [-degrade] [-drain D]
+//	catserve [-addr :8080] [-rows N] [-queries N] [-seed N] [-csv file] [-workload file] [-data-dir DIR] [-fsync POLICY] [-correlations] [-learn] [-cache-entries N] [-cache-mb N] [-max-concurrent N] [-max-queue N] [-deadline D] [-soft-budget D] [-degrade] [-drain D] [-warm-topk N] [-warm-budget D]
 //
 // Then:
 //
@@ -50,7 +50,6 @@ func main() {
 		fsyncP  = flag.String("fsync", "batch", "durable store append sync policy: always, batch, or none (with -data-dir)")
 		corr    = flag.Bool("correlations", false, "enable the path-conditional probability model")
 		learn   = flag.Bool("learn", false, "fold every served query into the workload statistics")
-		shards  = flag.Int("shards", 0, "shard-parallel fan-out per categorization build (0 = GOMAXPROCS, 1 = off)")
 
 		cacheEntries = flag.Int("cache-entries", 256, "tree cache entry bound (0 with -cache-mb 0 disables caching)")
 		cacheMB      = flag.Int64("cache-mb", 64, "tree cache byte bound in MiB")
@@ -137,7 +136,6 @@ func main() {
 		Durable:          dur,
 		Intervals:        repro.DemoIntervals(),
 		Correlations:     *corr,
-		Shards:           *shards,
 		TreeCacheEntries: *cacheEntries,
 		TreeCacheBytes:   *cacheMB << 20,
 	}

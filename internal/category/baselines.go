@@ -48,9 +48,6 @@ type Baseline struct {
 	// Kind selects AttrCost or NoCost; CostBased is rejected (use
 	// Categorizer).
 	Kind Technique
-	// Counters, when non-nil, accumulates shard-parallel telemetry (see
-	// Categorizer.Counters). Shared by pointer; nil is fine.
-	Counters *ShardCounters
 }
 
 // Categorize builds the baseline tree for result set r of query q. The
@@ -70,10 +67,7 @@ func (b *Baseline) CategorizeRows(r *relation.Relation, q *sqlparse.Query, rows 
 	}
 	opts := b.Opts.withDefaults()
 	est := &Estimator{Stats: b.Stats}
-	lc := &levelContext{
-		r: r, q: q, stats: b.Stats, est: est, opts: opts,
-		shards: EffectiveShards(opts.Shards), counters: b.Counters,
-	}
+	lc := &levelContext{r: r, q: q, stats: b.Stats, est: est, opts: opts}
 
 	candidates := opts.CandidateAttrs
 	if candidates == nil {

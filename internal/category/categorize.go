@@ -64,13 +64,6 @@ type Options struct {
 	// estimates; below it the paper's independence assumption is used.
 	// Default 8. Only meaningful when the Categorizer has a CondIndex.
 	MinCondSupport int
-	// Shards is the shard-parallel fan-out for per-node partition work
-	// (shard.go): nodes with at least shardMinTset tuples are counted and
-	// filled by this many concurrent span workers, and large numeric sorts
-	// go through the chunked merge. The resulting tree is byte-identical to
-	// the unsharded build at every shard count. 0 means one shard per
-	// available CPU (resolved at categorization time); 1 disables sharding.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -116,13 +109,10 @@ type Categorizer struct {
 	// conditional sample is smaller than Opts.MinCondSupport.
 	Corr *workload.CondIndex
 	// Ctx, when non-nil, lets a serving layer abandon a categorization
-	// mid-build: the level loop, the candidate fan-out, and the shard
-	// workers poll it and return ctx's error instead of completing the
-	// tree. Trees are never returned partially built.
+	// mid-build: the level loop and the candidate loop poll it and return
+	// ctx's error instead of completing the tree. Trees are never returned
+	// partially built.
 	Ctx context.Context
-	// Counters, when non-nil, accumulates shard-parallel telemetry across
-	// builds (healthz's "sharding" block). Shared by pointer; nil is fine.
-	Counters *ShardCounters
 }
 
 // NewCategorizer returns a Categorizer over the given workload statistics
@@ -162,7 +152,6 @@ func (c *Categorizer) categorize(r *relation.Relation, q *sqlparse.Query, rows [
 	}
 	lc := &levelContext{
 		r: r, q: q, stats: c.Stats, est: est, opts: opts, corr: c.Corr, ctx: ctx,
-		shards: EffectiveShards(opts.Shards), counters: c.Counters,
 	}
 
 	candidates := opts.CandidateAttrs
@@ -210,8 +199,8 @@ func (c *Categorizer) categorize(r *relation.Relation, q *sqlparse.Query, rows [
 // bestPlan evaluates every candidate attribute's partitioning of S with
 // build and returns the plan minimizing the Figure 6 objective, or nil if
 // none partitions anything. All candidates are costed and ties break on
-// candidate-list position. Intra-node parallelism comes from Options.Shards
-// (shard.go), not from evaluating candidates concurrently.
+// candidate-list position. Candidates are evaluated one after another on the
+// request's goroutine; parallelism lives across requests (DESIGN.md §12).
 func bestPlan(candidates []string, s []*Node, lc *levelContext, build func(string, []*Node) *plan) *plan {
 	var best *plan
 	bestCost := 0.0

@@ -1,8 +1,11 @@
 package category
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -434,58 +437,6 @@ func TestCategorizeInvariantsProperty(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: a shard-parallel build (every node forced
-// through the sharded partition path) equals the one-shard build.
-func TestParallelMatchesSequential(t *testing.T) {
-	forceSharding(t)
-	r := testRelation(1500)
-	stats := testStats(t)
-	seq, err := NewCategorizer(stats, Options{M: 10, X: 0.1, Shards: 1}).Categorize(r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := NewCategorizer(stats, Options{M: 10, X: 0.1, Shards: 4}).Categorize(r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.LevelAttrs) != len(par.LevelAttrs) {
-		t.Fatalf("level count differs: %v vs %v", seq.LevelAttrs, par.LevelAttrs)
-	}
-	for i := range seq.LevelAttrs {
-		if !strings.EqualFold(seq.LevelAttrs[i], par.LevelAttrs[i]) {
-			t.Fatalf("levels differ: %v vs %v", seq.LevelAttrs, par.LevelAttrs)
-		}
-	}
-	if TreeCostAll(seq) != TreeCostAll(par) {
-		t.Fatalf("costs differ: %v vs %v", TreeCostAll(seq), TreeCostAll(par))
-	}
-	if seq.NodeCount() != par.NodeCount() {
-		t.Fatalf("node counts differ: %d vs %d", seq.NodeCount(), par.NodeCount())
-	}
-	mustValidate(t, par)
-}
-
-// TestParallelBaselineMatchesSequential is TestParallelMatchesSequential for
-// the Attr-cost baseline.
-func TestParallelBaselineMatchesSequential(t *testing.T) {
-	forceSharding(t)
-	r := testRelation(1500)
-	stats := testStats(t)
-	attrs := []string{"propertytype", "bedrooms", "neighborhood", "price"}
-	seq, err := (&Baseline{Stats: stats, Kind: AttrCost, Opts: Options{M: 10, CandidateAttrs: attrs, Shards: 1}}).Categorize(r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := (&Baseline{Stats: stats, Kind: AttrCost, Opts: Options{M: 10, CandidateAttrs: attrs, Shards: 4}}).Categorize(r, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.NodeCount() != par.NodeCount() || len(seq.LevelAttrs) != len(par.LevelAttrs) {
-		t.Fatalf("parallel Attr-cost differs: %v/%d vs %v/%d",
-			seq.LevelAttrs, seq.NodeCount(), par.LevelAttrs, par.NodeCount())
-	}
-}
-
 // TestLevelChoiceIsArgmin: the level-1 attribute the greedy commits must
 // yield an estimated cost no worse than forcing any single candidate.
 func TestLevelChoiceIsArgmin(t *testing.T) {
@@ -574,5 +525,56 @@ func TestCandidateAttrsNotMutated(t *testing.T) {
 	}
 	if len(tree2.LevelAttrs) != len(tree.LevelAttrs) {
 		t.Fatalf("second run built a different tree: %v vs %v", tree2.LevelAttrs, tree.LevelAttrs)
+	}
+}
+
+// TestConcurrentCategorizeAppend races categorization builds against row
+// appends — and therefore segment seals and incremental projection
+// extension — on a shared relation; run under -race (ci.sh's concurrent
+// categorize/append step does). The RCU row store guarantees each build sees a consistent
+// snapshot: row indices drawn from an older snapshot stay valid because
+// rows only append. Runs at segment sizes 1 (every append seals), 64
+// (seals race mid-build), and the default (tail-only churn).
+func TestConcurrentCategorizeAppend(t *testing.T) {
+	stats := testStats(t)
+	for _, segRows := range []int{1, 64, 0} {
+		t.Run(fmt.Sprintf("segRows=%d", segRows), func(t *testing.T) {
+			forceSegmentRows(t, segRows)
+			r := testRelation(600)
+			template := r.Row(0)
+
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				// Bounded: an unthrottled append loop grows the relation by
+				// millions of rows and the builds never finish. 2000 appends
+				// racing 8 builds is plenty for the race detector.
+				for i := 0; i < 2000; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					row := append(relation.Tuple(nil), template...)
+					r.MustAppend(row)
+					runtime.Gosched()
+				}
+			}()
+
+			for i := 0; i < 8; i++ {
+				c := NewCategorizer(stats, Options{M: 20, X: 0.1})
+				tree, err := c.Categorize(r, nil)
+				if err != nil {
+					t.Fatalf("build %d: %v", i, err)
+				}
+				if err := tree.Validate(); err != nil {
+					t.Fatalf("build %d: %v", i, err)
+				}
+			}
+			close(stop)
+			wg.Wait()
+		})
 	}
 }

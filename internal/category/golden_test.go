@@ -3,6 +3,7 @@ package category
 import (
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -55,13 +56,6 @@ func flattenTree(name string, tree *Tree) goldenTree {
 
 // goldenScenarios builds every pinned tree. All inputs are deterministic.
 func goldenScenarios(t *testing.T) []goldenTree {
-	return goldenScenariosWith(t, func(o Options) Options { return o })
-}
-
-// goldenScenariosWith builds the pinned scenarios with each scenario's
-// options passed through mod — the shard-equivalence tests rebuild the whole
-// set under different Options.Shards and require byte-identical trees.
-func goldenScenariosWith(t *testing.T, mod func(Options) Options) []goldenTree {
 	t.Helper()
 	stats := testStats(t)
 	r := testRelation(600)
@@ -78,18 +72,13 @@ func goldenScenariosWith(t *testing.T, mod func(Options) Options) []goldenTree {
 
 	var out []goldenTree
 
-	tree, err := NewCategorizer(stats, mod(Options{M: 20, X: 0.1})).Categorize(r, nil)
+	tree, err := NewCategorizer(stats, Options{M: 20, X: 0.1}).Categorize(r, nil)
 	out = append(out, mustTree("costbased-seq", tree, err))
 
-	// The shard-parallel build: byte-identical to costbased-seq at every
-	// shard count, so it shares that scenario's golden tree.
-	tree, err = NewCategorizer(stats, mod(Options{M: 20, X: 0.1, Shards: 2})).Categorize(r, nil)
-	out = append(out, mustTree("costbased-parallel", tree, err))
-
-	tree, err = NewCategorizer(stats, mod(Options{M: 10, X: 0.1, MaxCategories: 3})).Categorize(r, nil)
+	tree, err = NewCategorizer(stats, Options{M: 10, X: 0.1, MaxCategories: 3}).Categorize(r, nil)
 	out = append(out, mustTree("costbased-maxcat", tree, err))
 
-	tree, err = NewCategorizer(stats, mod(Options{M: 12, X: 0.1, AutoBuckets: true, MaxBuckets: 4})).Categorize(r, nil)
+	tree, err = NewCategorizer(stats, Options{M: 12, X: 0.1, AutoBuckets: true, MaxBuckets: 4}).Categorize(r, nil)
 	out = append(out, mustTree("costbased-autobuckets", tree, err))
 
 	q, err := sqlparse.Parse("SELECT * FROM ListProperty WHERE neighborhood IN " +
@@ -98,24 +87,24 @@ func goldenScenariosWith(t *testing.T, mod func(Options) Options) []goldenTree {
 		t.Fatalf("parse query: %v", err)
 	}
 	rows := r.Select(q.Predicate())
-	tree, err = NewCategorizer(stats, mod(Options{M: 15, X: 0.1})).CategorizeRows(r, q, rows)
+	tree, err = NewCategorizer(stats, Options{M: 15, X: 0.1}).CategorizeRows(r, q, rows)
 	out = append(out, mustTree("costbased-query", tree, err))
 
 	tree, err = (&Baseline{Stats: stats, Kind: AttrCost,
-		Opts: mod(Options{M: 20, CandidateAttrs: attrs})}).Categorize(r, nil)
+		Opts: Options{M: 20, CandidateAttrs: attrs}}).Categorize(r, nil)
 	out = append(out, mustTree("attrcost", tree, err))
 
 	tree, err = (&Baseline{Stats: stats, Kind: AttrCost,
-		Opts: mod(Options{M: 20, CandidateAttrs: attrs, EquiDepth: true})}).Categorize(r, nil)
+		Opts: Options{M: 20, CandidateAttrs: attrs, EquiDepth: true}}).Categorize(r, nil)
 	out = append(out, mustTree("attrcost-equidepth", tree, err))
 
 	tree, err = (&Baseline{Stats: stats, Kind: NoCost,
-		Opts: mod(Options{M: 20, CandidateAttrs: attrs})}).Categorize(r, nil)
+		Opts: Options{M: 20, CandidateAttrs: attrs}}).Categorize(r, nil)
 	out = append(out, mustTree("nocost", tree, err))
 
 	corrStats, corrIdx := corrWorkload(t)
 	tree, err = (&Categorizer{Stats: corrStats, Corr: corrIdx,
-		Opts: mod(Options{M: 10, X: 0.1, MaxBuckets: 2, MinBucket: 1, MinCondSupport: 5})}).Categorize(corrRelation(), nil)
+		Opts: Options{M: 10, X: 0.1, MaxBuckets: 2, MinBucket: 1, MinCondSupport: 5}}).Categorize(corrRelation(), nil)
 	out = append(out, mustTree("costbased-corr", tree, err))
 
 	return out
@@ -210,4 +199,25 @@ func compareGolden(t *testing.T, want, got goldenTree) {
 
 func closeTo(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9
+}
+
+// TestSegmentGoldenEquivalence is the iron contract at the tree layer: the
+// full golden scenario set rebuilt at segment sizes 1 and 64 — where the
+// 600-row test relation seals 600 and 9 segments respectively — must be
+// identical in every field to the default-segment build (which never seals
+// at this scale).
+func TestSegmentGoldenEquivalence(t *testing.T) {
+	base := goldenScenarios(t)
+	for _, segRows := range []int{1, 64} {
+		t.Run(fmt.Sprintf("segRows=%d", segRows), func(t *testing.T) {
+			forceSegmentRows(t, segRows)
+			got := goldenScenarios(t)
+			if len(got) != len(base) {
+				t.Fatalf("scenario count %d, want %d", len(got), len(base))
+			}
+			for i := range base {
+				compareGolden(t, base[i], got[i])
+			}
+		})
+	}
 }

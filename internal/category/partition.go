@@ -70,13 +70,6 @@ type levelContext struct {
 	// ctx aborts the build early when the serving layer abandons it.
 	ctx context.Context
 
-	// shards is the resolved shard-parallel fan-out for per-node partition
-	// work (see shard.go): nodes at least shardMinTset large are counted and
-	// filled by this many span workers. 1 disables sharding. counters (may
-	// be nil) accumulates the fan-out telemetry healthz reports.
-	shards   int
-	counters *ShardCounters
-
 	// perms caches each frontier node's tuple-set sorted by a numeric
 	// attribute, shared across the level's candidate evaluations (and across
 	// the enumerator's many cut-set plans) so no candidate evaluation ever
@@ -134,12 +127,6 @@ func (lc *levelContext) sortedProjection(n *Node, pos int, col []float64) *sorte
 			return lc.storePerm(key, &sortedProj{idx: rows, vals: vals})
 		}
 	}
-	// The numeric sort is deliberately NOT sharded: pdqsort's tie
-	// order is deterministic for a fixed input but not total, so a chunked
-	// sort-and-merge would need a tie-breaking comparator, which defeats
-	// pdqsort's equal-element partitioning and costs >2x on low-cardinality
-	// columns. One sequential sort keeps ties — and the golden-pinned trees —
-	// identical at every shard count (DESIGN.md §12).
 	idx, vals := relation.SortByValue(col, n.Tset)
 	return lc.storePerm(key, &sortedProj{idx: idx, vals: vals})
 }
@@ -377,16 +364,6 @@ func (lc *levelContext) codePartition(attr string, scl []string, s []*Node) *pla
 	}
 	pl := &plan{attr: attr, children: make([][]childSpec, len(s))}
 	for si, n := range s {
-		// Large nodes take the shard-parallel path (shard.go): per-span
-		// counts merged by addition, ranks assigned at the same points,
-		// buckets filled through per-span cursors — same specs, same order,
-		// same tuple-sets. Counting state (counts/orderOf/rank) is shared,
-		// so sharded and sequential nodes interleave freely within a level.
-		if lc.useShards(len(n.Tset)) {
-			pl.children[si] = lc.shardedPartitionNode(col, attr, nAttr, n, sc, &rank)
-			continue
-		}
-		lc.counters.addSeqNode()
 		present := sc.present[:0]
 		for _, row := range n.Tset {
 			c := col.Codes[row]

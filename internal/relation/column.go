@@ -131,9 +131,7 @@ type numSorted struct {
 // produces over tset with a plain `<` comparator — the categorizer's
 // historical per-node sort — but runs over packed (value, row) pairs, so no
 // comparison gathers through the column. Ties therefore land in the same
-// (deterministic) order as before the columnar rewrite, and — because the
-// numeric path is never sharded (DESIGN.md §12) — that order is identical
-// at every Options.Shards setting.
+// (deterministic) order as before the columnar rewrite.
 func SortByValue(col []float64, tset []int) (rows []int, vals []float64) {
 	pairs := pairsFor(len(tset))
 	for k, i := range tset {

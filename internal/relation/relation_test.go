@@ -2,6 +2,8 @@ package relation
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -218,5 +220,38 @@ func TestGrow(t *testing.T) {
 	}
 	if got := r.Row(0)[0].Str; got != "a" {
 		t.Fatalf("Grow lost data: row0 = %q", got)
+	}
+}
+
+// TestSortByValueDeterministic pins that the per-node numeric sort is a pure
+// function of its input — including NaNs, which defeat `<` — so every build
+// of a node yields the same projection, ties and all, and the golden trees
+// that depend on its tie order stay reproducible.
+func TestSortByValueDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, size := range []int{0, 1, 17, 1000, 5000} {
+		col := make([]float64, size)
+		tset := make([]int, size)
+		for i := range col {
+			col[i] = float64(rng.Intn(20)) // heavy ties on purpose
+			if rng.Intn(10) == 0 {
+				col[i] = math.NaN()
+			}
+			tset[i] = i
+		}
+		wantRows, wantVals := SortByValue(col, tset)
+		for rep := 0; rep < 3; rep++ {
+			gotRows, gotVals := SortByValue(col, tset)
+			if !reflect.DeepEqual(gotRows, wantRows) {
+				t.Fatalf("size=%d rep=%d: sort permutation is not deterministic", size, rep)
+			}
+			for i := range wantVals {
+				// Bitwise comparison: NaN == NaN is false but the values
+				// must still agree position by position.
+				if math.Float64bits(gotVals[i]) != math.Float64bits(wantVals[i]) {
+					t.Fatalf("size=%d rep=%d: vals[%d] = %v, want %v", size, rep, i, gotVals[i], wantVals[i])
+				}
+			}
+		}
 	}
 }

@@ -34,13 +34,6 @@ import (
 // enough that zone-map metadata is negligible next to the data.
 const DefaultSegmentRows = 4096
 
-// alignMinSegments gates shard/segment boundary alignment (shard.go): shard
-// cuts snap to segment boundaries only when every shard spans at least this
-// many segments, so the rounding skew stays under ~1/(2·alignMinSegments)
-// and small-relation shard balance — pinned by TestShardSpans — is
-// untouched.
-const alignMinSegments = 8
-
 // segState is a relation's segment bookkeeping: the sealed-segment list
 // behind an RCU pointer (readers load it once per operation, Append
 // publishes successors under the writer mutex) and the storage counters.

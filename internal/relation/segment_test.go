@@ -286,61 +286,6 @@ func TestBitmapMixedUniverses(t *testing.T) {
 	}
 }
 
-// TestShardSegmentAlignment: at segment scale, interior shard boundaries
-// snap to segment multiples, coverage stays exact and near-balanced, and
-// shard selects still concatenate to the parent select.
-func TestShardSegmentAlignment(t *testing.T) {
-	r := segTestRelation(t, 64, 64*8*3+50) // 3 segments-per-shard-minimum × n=3 + tail
-	n := 3
-	shards := r.Shards(n)
-	// total/n = 529 ≥ 64*8: alignment active.
-	if len(shards) != n {
-		t.Fatalf("shard count %d", len(shards))
-	}
-	lo := 0
-	for i, s := range shards {
-		if s.Lo != lo {
-			t.Fatalf("shard %d starts at %d, want %d", i, s.Lo, lo)
-		}
-		if i < n-1 && s.Hi%64 != 0 {
-			t.Fatalf("interior boundary %d not segment-aligned", s.Hi)
-		}
-		lo = s.Hi
-	}
-	if lo != r.Len() {
-		t.Fatalf("shards cover %d rows, want %d", lo, r.Len())
-	}
-	// Each boundary moves at most half a segment off the even split, so a
-	// shard's size skews by at most one segment (both edges) plus remainder.
-	even := r.Len() / n
-	for i, s := range shards {
-		if d := s.Len() - even; d < -65 || d > 65 {
-			t.Fatalf("shard %d size %d skews %d rows from even %d", i, s.Len(), d, even)
-		}
-	}
-	pred := NewAnd(NewIn("neighborhood", "Seattle, WA"), NewClosedRange("price", 200000, 420000))
-	var cat []int
-	for _, s := range shards {
-		cat = append(cat, s.Select(pred)...)
-	}
-	sameRows(t, cat, r.Select(pred), "sharded concatenation")
-
-	// Below segment scale the historical near-equal split is preserved.
-	small := segTestRelation(t, 64, 103)
-	sizes := map[int]bool{}
-	lo = 0
-	for _, s := range small.Shards(4) {
-		if s.Lo != lo {
-			t.Fatal("small-shard spans not contiguous")
-		}
-		sizes[s.Len()] = true
-		lo = s.Hi
-	}
-	if lo != 103 || len(sizes) > 2 {
-		t.Fatalf("small-shard split changed: covered=%d sizes=%v", lo, sizes)
-	}
-}
-
 // TestConcurrentAppendSealSelect races Appends (which seal segments) with
 // Selects and StorageStats under -race: every Select must return a
 // consistent prefix result — exactly the reference answer over some row

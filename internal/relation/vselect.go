@@ -369,34 +369,11 @@ func (r *Relation) buildRangeBitmap(p *Range, prev *Bitmap) *Bitmap {
 	return bm
 }
 
-// chunkScan runs fn over [0, n) — sequentially below the parallel
-// threshold, otherwise split into word-aligned chunks across GOMAXPROCS
-// goroutines. Chunk boundaries are multiples of 64, so concurrent chunks
-// never share a bitmap word.
-func chunkScan(n int, fn func(lo, hi int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if n < parallelScanRows || workers <= 1 {
-		fn(0, n)
-		return
-	}
-	words := (n + 63) >> 6
-	chunk := (words + workers - 1) / workers << 6
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// scanSpan is chunkScan over an arbitrary window [a, b): sequential below
-// the parallel threshold, otherwise split at *absolute* multiples of 64 so
-// concurrent chunks never share a bitmap word even when a is mid-word (an
-// extension build starts at the previous bitmap's coverage).
+// scanSpan runs fn over the window [a, b): sequentially below the parallel
+// threshold, otherwise split across GOMAXPROCS goroutines at *absolute*
+// multiples of 64, so concurrent chunks never share a bitmap word even when
+// a is mid-word (an extension build starts at the previous bitmap's
+// coverage).
 func scanSpan(a, b int, fn func(lo, hi int)) {
 	if a >= b {
 		return

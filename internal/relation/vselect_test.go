@@ -296,31 +296,41 @@ func TestStaleSnapshotNeverShrinksColumns(t *testing.T) {
 	}
 }
 
-// TestChunkScanParallel forces multi-worker chunking (the 1-CPU CI box would
-// otherwise run it sequentially) and checks word-aligned boundaries cover
-// [0, n) exactly once.
-func TestChunkScanParallel(t *testing.T) {
+// TestScanSpanParallel forces multi-worker chunking (a 1-CPU box would
+// otherwise run it sequentially) over a window that starts mid-word, as an
+// extension build does, and checks the chunks cover [a, b) exactly once with
+// every chunk after the first starting on an absolute word boundary.
+func TestScanSpanParallel(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
-	n := parallelScanRows + 1000
+	a := 3*64 + 17
+	b := a + parallelScanRows + 1000
 	var mu sync.Mutex
-	covered := make([]bool, n)
-	chunkScan(n, func(lo, hi int) {
-		if lo%64 != 0 {
-			t.Errorf("chunk start %d not word-aligned", lo)
-		}
+	var starts []int
+	covered := make([]int, b)
+	scanSpan(a, b, func(lo, hi int) {
 		mu.Lock()
 		defer mu.Unlock()
+		starts = append(starts, lo)
 		for i := lo; i < hi; i++ {
-			if covered[i] {
-				t.Fatalf("row %d covered twice", i)
-			}
-			covered[i] = true
+			covered[i]++
 		}
 	})
-	for i, c := range covered {
-		if !c {
-			t.Fatalf("row %d never covered", i)
+	if len(starts) < 2 {
+		t.Fatalf("window of %d rows ran as %d chunk(s); want a parallel split", b-a, len(starts))
+	}
+	for _, lo := range starts {
+		if lo != a && lo%64 != 0 {
+			t.Errorf("chunk start %d is not a multiple of 64", lo)
+		}
+	}
+	for i, n := range covered {
+		want := 0
+		if i >= a {
+			want = 1
+		}
+		if n != want {
+			t.Fatalf("row %d covered %d times; want %d", i, n, want)
 		}
 	}
 	// And the engine stays correct when scans actually fan out.

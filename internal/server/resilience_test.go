@@ -147,6 +147,45 @@ func TestRequestTimeoutTightens(t *testing.T) {
 	}
 }
 
+// TestOversizedTimeoutSetsNoDeadline: a timeoutMs whose nanoseconds overflow
+// a time.Duration sets no deadline. Multiplied naively, 76480200929599801 ms
+// wraps to 64 ns, and a client asking for a long timeout would get a 504 on
+// every miss; on a server with no Deadline both routes must serve it.
+func TestOversizedTimeoutSetsNoDeadline(t *testing.T) {
+	hs := newServeServer(t, Config{System: newServeSystem(t, false)})
+	const ms = 76480200929599801
+	for _, tc := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/query", queryRequest{SQL: spellings[0], TimeoutMs: ms}},
+		{"/v1/refine", refineRequest{SQL: spellings[0], Path: []int{0}, TimeoutMs: ms}},
+	} {
+		resp, body := postJSON(t, hs.URL+tc.path, tc.req)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status = %d (%s); want 200", tc.path, resp.StatusCode, body)
+		}
+	}
+}
+
+func TestRequestTimeout(t *testing.T) {
+	for _, tc := range []struct {
+		ms   int
+		want time.Duration
+	}{
+		{0, 0},
+		{-1, 0},
+		{1, time.Millisecond},
+		{9223372036854, 9223372036854 * time.Millisecond}, // largest that fits
+		{18446744073710, 0},    // would wrap to 448µs
+		{76480200929599801, 0}, // would wrap to 64ns
+	} {
+		if got := requestTimeout(tc.ms); got != tc.want {
+			t.Errorf("requestTimeout(%d) = %v; want %v", tc.ms, got, tc.want)
+		}
+	}
+}
+
 // TestAdmissionShed: with one slot, no queue, and a stalled build, a second
 // request is shed immediately with 503 + Retry-After while the first is
 // still computing; canceling the first frees the slot.

@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -283,9 +284,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 			body["status"] = "degraded"
 		}
 	}
-	// Shard-parallel build counters (DESIGN.md §12), plus GOMAXPROCS and the
-	// active shard count so capacity debugging needs no flag archaeology.
-	body["sharding"] = sys.ShardingStats()
 	// Resilience counters (DESIGN.md §10): admission queue/shed, degradation
 	// ladder activations, recovered panics, drain state.
 	res := map[string]any{
@@ -452,7 +450,7 @@ func (s *Server) serveTree(w http.ResponseWriter, r *http.Request, q *repro.Quer
 		return out, true
 	}
 	ctx := r.Context()
-	deadline := tightest(s.cfg.Deadline, time.Duration(timeoutMs)*time.Millisecond)
+	deadline := tightest(s.cfg.Deadline, requestTimeout(timeoutMs))
 	if deadline > 0 {
 		// The deadline wraps the whole computation, queue wait included: a
 		// request that spends its budget waiting for a slot 504s like one
@@ -486,6 +484,17 @@ func (s *Server) serveTree(w http.ResponseWriter, r *http.Request, q *repro.Quer
 		return out, false
 	}
 	return out, true
+}
+
+// requestTimeout converts a request's timeoutMs to a Duration. A
+// non-positive value, or one whose nanoseconds overflow a Duration, sets no
+// per-request deadline (a configured Deadline still applies), so an oversized
+// timeout never wraps into a tiny one.
+func requestTimeout(ms int) time.Duration {
+	if ms <= 0 || int64(ms) > math.MaxInt64/int64(time.Millisecond) {
+		return 0
+	}
+	return time.Duration(ms) * time.Millisecond
 }
 
 // tightest combines the configured deadline with the per-request one: the

@@ -50,8 +50,9 @@ func TestNewWarmRequiresLearn(t *testing.T) {
 // TestHealthzRepairAndWarmerShape drives a learn-churn sequence through the
 // HTTP path and pins the /healthz JSON contract for stale misses and warming:
 // the cache block's counters, including stale, and the warmer block. The
-// repair block and the cache's repaired counter went with incremental repair
-// and must stay gone.
+// repair block and the cache's repaired counter went with incremental repair,
+// and the sharding block with shard-parallel categorization; all must stay
+// gone.
 func TestHealthzRepairAndWarmerShape(t *testing.T) {
 	srv, hs := warmTestServer(t, 4)
 
@@ -75,6 +76,9 @@ func TestHealthzRepairAndWarmerShape(t *testing.T) {
 	}
 	if _, ok := body["repair"]; ok {
 		t.Error("healthz still has a repair block")
+	}
+	if _, ok := body["sharding"]; ok {
+		t.Error("healthz still has a sharding block")
 	}
 	var cache map[string]json.RawMessage
 	if err := json.Unmarshal(body["cache"], &cache); err != nil || cache == nil {

@@ -194,16 +194,21 @@ type StorageStats = relation.StorageStats
 // reports the same counters.
 func (s *System) StorageStats() StorageStats { return s.rel.StorageStats() }
 
-// ShardingStats is a point-in-time snapshot of the shard-parallel build
-// counters plus the effective shard configuration (DESIGN.md §12).
-type ShardingStats = category.ShardingStats
-
-// ShardingStats returns the shard-parallel build counters and the active
-// shard count (surfaced in /healthz). For an AdaptiveSystem the counters are
-// shared across snapshots.
-func (s *System) ShardingStats() ShardingStats {
-	return s.shardc.Snapshot(s.opts.Shards)
+// ShardingStats is what remains of the shard-parallel build counters, which
+// were deleted with shard-parallel categorization (DESIGN.md §12). Both
+// fields are always 0.
+//
+// Deprecated: the only reader is perfbench's traced run, which derives
+// category.sharded_node_ratio from it. The ROADMAP item "A stage spine inside
+// the server" replaces that run's in-process replay and removes this type.
+type ShardingStats struct {
+	ShardedNodes, SeqNodes uint64
 }
+
+// ShardingStats returns the zero ShardingStats.
+//
+// Deprecated: read only by perfbench's traced run; removed with ShardingStats.
+func (s *System) ShardingStats() ShardingStats { return ShardingStats{} }
 
 // Generation returns the workload-stats generation this system serves. A
 // system built by NewSystem is generation 0; AdaptiveSystem publishes
@@ -423,18 +428,12 @@ func (s *System) Serve(ctx context.Context, sql string, tech Technique, opts Opt
 
 // buildTree runs one categorization with the chosen technique — the single
 // construction point behind Result.CategorizeWith and the serving path.
-// A zero opts.Shards inherits the system default (catserve -shards), so
-// per-request option sets that never mention sharding still fan out.
 func (s *System) buildTree(ctx context.Context, q *Query, rows []int, tech Technique, opts Options) (*Tree, error) {
-	if opts.Shards == 0 {
-		opts.Shards = s.opts.Shards
-	}
 	switch tech {
 	case CostBased:
 		c := category.NewCategorizer(s.stats, opts)
 		c.Corr = s.corr
 		c.Ctx = ctx
-		c.Counters = s.shardc
 		return c.CategorizeRows(s.rel, q, rows)
 		// Cost-based trees carry their (possibly path-conditional)
 		// probabilities from construction; no re-annotation.
@@ -445,7 +444,7 @@ func (s *System) buildTree(ctx context.Context, q *Query, rows []int, tech Techn
 		if err := faultinject.Inject(ctx, faultinject.SiteBaseline); err != nil {
 			return nil, err
 		}
-		b := &category.Baseline{Stats: s.stats, Opts: opts, Kind: tech, Counters: s.shardc}
+		b := &category.Baseline{Stats: s.stats, Opts: opts, Kind: tech}
 		tree, err := b.CategorizeRows(s.rel, q, rows)
 		if err != nil {
 			return nil, err
@@ -470,9 +469,7 @@ func (s *System) buildTree(ctx context.Context, q *Query, rows []int, tech Techn
 // keeps trees built before an Append from being served after it. The float
 // options are spelled through relation.SigNum like every other cache-key
 // layer, so K=-0 and K=0 — or any pair of spellings FormatFloat would split —
-// cannot fork (or collide) key spaces. Options.Shards is deliberately
-// excluded: the built tree is byte-identical at every shard count (§12), so
-// keying on it would only fork the cache into redundant copies.
+// cannot fork (or collide) key spaces.
 func (s *System) cacheKey(q *Query, tech Technique, opts Options) string {
 	return fmt.Sprintf("%s\x1e%d", s.cacheBaseKey(q, tech, opts), s.gen)
 }

@@ -46,10 +46,10 @@ func cachedAdaptiveFixture(t *testing.T, rows, queries int) *repro.AdaptiveSyste
 }
 
 // coldTree builds sql's tree the reference way: a fresh system with no tree
-// cache and Shards=1 over sys's relation and statistics snapshot.
+// cache over sys's relation and statistics snapshot.
 func coldTree(t *testing.T, sys *repro.System, sql string) *repro.Tree {
 	t.Helper()
-	fresh, err := repro.NewSystem(sys.Relation(), repro.Config{Stats: sys.Stats(), Shards: 1})
+	fresh, err := repro.NewSystem(sys.Relation(), repro.Config{Stats: sys.Stats()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,11 +16,12 @@ race:
 
 # Vet, catlint, plus the race-checked hot packages: the categorizer building
 # over a relation that is being appended to, the relation's column caches and
-# conjunct-bitmap cache, and the serving path (singleflight tree cache, snapshot-swapped workload stats,
+# conjunct-bitmap cache, and the serving path (singleflight tree cache, copy-on-write workload stats,
 # bounded session table, admission limiter, fault injector).
 check: lint
 	go test -race ./internal/category ./internal/relation ./internal/sqlparse \
-		./internal/treecache ./internal/server ./internal/resilience/... .
+		./internal/treecache ./internal/server ./internal/resilience/... \
+		./internal/workload .
 
 # catlint (DESIGN.md §11): the project-specific static-analysis suite. Every
 # check mechanizes an invariant a past PR broke and then fixed by hand. Use
@@ -153,7 +154,10 @@ TRACE ?= 0
 perfbench:
 	bash perfbench/run.sh --workload $(WORKLOAD) --seed $(SEED) --seconds $(SECONDS) --trace $(TRACE)
 
-# The full formatted evaluation report at paper scale.
+# The full formatted evaluation report at paper scale. Both files are
+# committed: experiments_report.json is the §6 golden that ci.sh compares a
+# fresh run against (`benchrunner -check`), and this target is how a change
+# that moves the reproduction updates it, arguing why in CHANGES.md.
 report:
 	go run ./cmd/benchrunner -out experiments_report.txt -json experiments_report.json
 
@@ -173,6 +177,6 @@ fuzz:
 	go test ./internal/relation -fuzz=FuzzVectorizedSelect -fuzztime=30s
 
 clean:
-	rm -f experiments_report.txt experiments_report.json test_output.txt bench_output.txt servebench_output.txt selectbench_output.txt warmbench_output.txt segmentbench_output.txt
+	rm -f test_output.txt bench_output.txt servebench_output.txt selectbench_output.txt warmbench_output.txt segmentbench_output.txt
 	rm -f catlint catlint.json lint_output.txt
 	rm -rf .bench_build

@@ -17,12 +17,15 @@ import (
 //
 // Concurrency model: readers never block. The current System — relation,
 // statistics, derived count tables, and a generation counter — is an
-// immutable snapshot behind an atomic pointer. Learn clones the statistics
-// off the hot path, folds the new queries into the clone, and publishes the
-// result with one atomic store; in-flight explorations keep the snapshot
-// they loaded. The generation counter stamps every snapshot, so the tree
-// cache's keys from superseded generations simply stop matching (see
-// DESIGN.md §8). All methods are safe for concurrent use.
+// immutable snapshot behind an atomic pointer. Learn takes a copy-on-write
+// clone of the statistics off the hot path, folds the new queries into it —
+// copying only the tables they touch — and publishes the result with one
+// atomic store; in-flight explorations keep the snapshot they loaded, whose
+// tables no later learn writes. No query log is kept, and no learn copies
+// a numeric attribute's range base, so what a learn copies stays small as
+// the learned workload grows. The generation counter stamps every snapshot,
+// so the tree cache's keys from superseded generations simply stop
+// matching (see DESIGN.md §8). All methods are safe for concurrent use.
 type AdaptiveSystem struct {
 	// learnMu serializes writers (clone → fold → publish); readers never
 	// take it.
@@ -42,7 +45,7 @@ type AdaptiveSystem struct {
 // updates need the preprocessing configuration and, when correlations are
 // enabled, the retained per-query conditions.
 func (s *System) Adaptive() (*AdaptiveSystem, error) {
-	if s.wl == nil {
+	if s.wcfg == nil {
 		return nil, fmt.Errorf("repro: Adaptive requires a system built from a raw workload")
 	}
 	a := &AdaptiveSystem{}
@@ -129,12 +132,13 @@ func (a *AdaptiveSystem) LearnBatch(sqls []string) error {
 	return nil
 }
 
-// learn clones the current snapshot's mutable state, folds the queries in,
-// and publishes the successor snapshot. Readers racing with the swap keep
-// whichever snapshot they loaded — both are internally consistent. Queries
-// the statistics skip (those naming another table) are not learned, and a
-// learn that folds in nothing publishes nothing: the generation, and with it
-// every cached tree, stays current.
+// learn clones the current snapshot's statistics (copy-on-write), folds the
+// queries in, and publishes the successor snapshot. Readers racing with the
+// swap keep whichever snapshot they loaded — both are internally consistent
+// and no learn writes a published table. Queries the statistics skip (those
+// naming another table) are not learned, and a learn that folds in nothing
+// publishes nothing: the generation, and with it every cached tree, stays
+// current.
 func (a *AdaptiveSystem) learn(qs ...*sqlparse.Query) {
 	a.learnMu.Lock()
 	defer a.learnMu.Unlock()
@@ -143,7 +147,6 @@ func (a *AdaptiveSystem) learn(qs ...*sqlparse.Query) {
 		rel:   old.rel,
 		stats: old.stats.Clone(),
 		opts:  old.opts,
-		wl:    old.wl.Clone(),
 		wcfg:  old.wcfg,
 		cache: old.cache,
 		gen:   old.gen + 1,
@@ -155,13 +158,8 @@ func (a *AdaptiveSystem) learn(qs ...*sqlparse.Query) {
 	}
 	folded := make([]*sqlparse.Query, 0, len(qs))
 	for _, q := range qs {
-		if !next.stats.AddQuery(q, next.wcfg) {
-			continue
-		}
-		folded = append(folded, q)
-		next.wl.Queries = append(next.wl.Queries, q)
-		if next.corr != nil {
-			next.corr.Add(q, next.wcfg)
+		if next.fold(q) {
+			folded = append(folded, q)
 		}
 	}
 	if len(folded) == 0 {

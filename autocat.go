@@ -179,10 +179,10 @@ type System struct {
 	stats *WorkloadStats
 	opts  Options
 	corr  *workload.CondIndex
-	// wl and wcfg are retained when the system was built from a raw
-	// workload, enabling Personalize; nil for Stats-only systems.
-	wl   *Workload
-	wcfg workload.Config
+	// wcfg is the preprocessing configuration, retained when the system was
+	// built from a raw workload so learning and Personalize can fold more
+	// queries in; nil for Stats-only systems.
+	wcfg *workload.Config
 	// cache memoizes served trees (nil when disabled); gen stamps the
 	// statistics snapshot this System serves, keying the cache (§8). An
 	// AdaptiveSystem's snapshots share one cache at increasing generations.
@@ -240,7 +240,7 @@ func NewSystem(rel *Relation, cfg Config) (*System, error) {
 		if cfg.Correlations {
 			corr = workload.NewCondIndex(w, wcfg)
 		}
-		return &System{rel: rel, stats: stats, opts: cfg.Options, corr: corr, wl: w, wcfg: wcfg, cache: cache, resil: resil, dur: cfg.Durable}, nil
+		return &System{rel: rel, stats: stats, opts: cfg.Options, corr: corr, wcfg: &wcfg, cache: cache, resil: resil, dur: cfg.Durable}, nil
 	}
 	if cfg.Correlations {
 		return nil, fmt.Errorf("repro: Correlations requires the raw workload (WorkloadSQL or WorkloadReader), not precomputed Stats")
@@ -248,40 +248,58 @@ func NewSystem(rel *Relation, cfg Config) (*System, error) {
 	return &System{rel: rel, stats: stats, opts: cfg.Options, cache: cache, resil: resil, dur: cfg.Durable}, nil
 }
 
-// Personalize returns a new System whose workload statistics blend this
-// system's query log with one user's own history, repeated weight times —
+// Personalize returns a new System whose workload statistics also count one
+// user's own history, repeated weight times (weight < 1 counts it once) —
 // the personalization direction the paper's footnote 4 sketches: the tree is
 // still built for "the average user", but the average is pulled toward this
-// user's demonstrated interests. The base system is unchanged. It errors
-// when the system was built from precomputed Stats (the raw workload is
-// needed) or when the history fails to parse.
+// user's demonstrated interests. The new statistics are a copy-on-write
+// clone of this system's, so the base system is unchanged and shares every
+// table the history does not touch. It errors when the system was built
+// from precomputed Stats (folding queries in needs the preprocessing
+// configuration) or when the history fails to parse.
 func (s *System) Personalize(history []string, weight int) (*System, error) {
-	if s.wl == nil {
+	if s.wcfg == nil {
 		return nil, fmt.Errorf("repro: Personalize requires a system built from a raw workload")
 	}
 	personal, err := workload.ParseStrings(history)
 	if err != nil {
 		return nil, fmt.Errorf("repro: personal history: %w", err)
 	}
-	merged := workload.Merge(s.wl, personal, weight)
 	out := &System{
 		rel:   s.rel,
-		stats: workload.Preprocess(merged, s.wcfg),
+		stats: s.stats.Clone(),
 		opts:  s.opts,
-		wl:    merged,
 		wcfg:  s.wcfg,
 		resil: &resilienceCounters{},
 		dur:   s.dur, // same relation, same backing store
+	}
+	if s.corr != nil {
+		out.corr = s.corr.Clone()
+	}
+	for i := 0; i < max(weight, 1); i++ {
+		for _, q := range personal.Queries {
+			out.fold(q)
+		}
 	}
 	if s.cache.Enabled() {
 		// The personalized statistics are a different key space; sharing the
 		// base cache would serve the base user's trees. Same bounds, new cache.
 		out.cache = treecache.New[served](s.cache.Bounds())
 	}
-	if s.corr != nil {
-		out.corr = workload.NewCondIndex(merged, s.wcfg)
-	}
 	return out, nil
+}
+
+// fold counts q into the statistics and the correlation index, which s must
+// own (fresh clones, not yet published). It reports false, folding nothing,
+// for a query on another table.
+func (s *System) fold(q *sqlparse.Query) bool {
+	if !s.stats.AddQuery(q, *s.wcfg) {
+		return false
+	}
+	if s.corr != nil {
+		s.corr.Add(q, *s.wcfg)
+	}
+	return true
 }
 
 // Relation returns the system's base relation.

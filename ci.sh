@@ -35,9 +35,13 @@ make lint-perf
 step "go test"
 go test ./...
 
+step "§6 reproduction golden: the regenerated report must equal experiments_report.json (Figure 13 timings aside; make report updates it)"
+go run ./cmd/benchrunner -check experiments_report.json
+
 step "race detector on the hot packages"
 go test -race ./internal/category ./internal/relation ./internal/sqlparse \
-    ./internal/treecache ./internal/server ./internal/resilience/... .
+    ./internal/treecache ./internal/server ./internal/resilience/... \
+    ./internal/workload .
 
 step "concurrent categorize/append under race"
 go test -race -count=1 -run 'TestConcurrentCategorizeAppend' ./internal/category
@@ -47,8 +51,9 @@ go test -race -count=1 \
     -run 'TestSegment|TestConcurrentAppendSealSelect|TestAppendExtends|TestZone' \
     ./internal/category ./internal/relation
 
-step "stale-miss equivalence + warmer under race"
+step "stale-miss equivalence + warmer + copy-on-write snapshots under race"
 go test -race -count=1 -run 'TestServeStale|TestLearnBatchServeRace|TestWarm' .
+go test -race -count=1 -run 'TestPublishedSnapshotNeverChanges' ./internal/workload
 
 step "warmbench smoke (pre-warming under learn churn)"
 go run ./cmd/catload -warmbench -rows 2000 -queries 1500 -n 60 -mix 8 -learn-every 15 -warm-topk 8

@@ -4,15 +4,23 @@
 //
 // Usage:
 //
-//	benchrunner [-rows N] [-queries N] [-subsets N] [-persubset N] [-seed N] [-out file]
+//	benchrunner [-rows N] [-queries N] [-subsets N] [-persubset N] [-seed N] [-out file] [-json file]
+//	benchrunner -check experiments_report.json
+//
+// -check regenerates the structured results and compares every field with a
+// committed JSON report, apart from Figure 13's wall-clock timings. It writes
+// nothing, and on a difference names the first figure or table that differs
+// and exits 1. `make report` rewrites the committed report.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"time"
 
 	"repro/internal/category"
@@ -29,11 +37,15 @@ func main() {
 		seed      = flag.Int64("seed", 1, "generation seed")
 		outPath   = flag.String("out", "", "also write the report to this file")
 		jsonPath  = flag.String("json", "", "also write the structured results as JSON to this file")
+		checkPath = flag.String("check", "", "compare the structured results with this JSON report instead of printing or writing anything")
 	)
 	flag.Parse()
 
 	var out io.Writer = os.Stdout
-	if *outPath != "" {
+	switch {
+	case *checkPath != "":
+		out = io.Discard
+	case *outPath != "":
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -73,12 +85,21 @@ func main() {
 	}
 	printTiming(out, timing)
 
+	if *checkPath != "" {
+		if err := checkReport(*checkPath, reportPayload(syn, study, timing)); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("benchrunner: results match %s (Figure 13 timings not compared) in %s\n",
+			*checkPath, time.Since(start).Round(time.Millisecond))
+		return
+	}
+
 	if err := printAblations(out, env); err != nil {
 		fatal(err)
 	}
 
 	if *jsonPath != "" {
-		if err := writeJSONResults(*jsonPath, syn, study, timing); err != nil {
+		if err := writeJSONResults(*jsonPath, reportPayload(syn, study, timing)); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(out, "\nstructured results written to %s\n", *jsonPath)
@@ -87,10 +108,10 @@ func main() {
 	fmt.Fprintf(out, "\ntotal runtime: %s\n", time.Since(start).Round(time.Millisecond))
 }
 
-// writeJSONResults dumps the machine-readable form of the study outputs so
+// reportPayload is the machine-readable form of the study outputs, so
 // downstream analysis (plots, regression tracking) need not re-parse the
 // text report.
-func writeJSONResults(path string, syn *experiments.SyntheticResult, study *experiments.StudyResult, timing *experiments.TimingResult) error {
+func reportPayload(syn *experiments.SyntheticResult, study *experiments.StudyResult, timing *experiments.TimingResult) map[string]any {
 	type cell struct {
 		Task      int     `json:"task"`
 		Technique string  `json:"technique"`
@@ -106,7 +127,7 @@ func writeJSONResults(path string, syn *experiments.SyntheticResult, study *expe
 		}
 		return out
 	}
-	payload := map[string]any{
+	return map[string]any{
 		"figure7":  map[string]any{"slope": syn.Slope, "pearsonAll": syn.OverallR, "explorations": len(syn.Explorations)},
 		"table1":   syn.Subsets,
 		"table2":   study.PerUser,
@@ -118,6 +139,9 @@ func writeJSONResults(path string, syn *experiments.SyntheticResult, study *expe
 		"table4":   map[string]any{"votes": voteNames(study), "noResponse": study.NoResponse},
 		"figure13": timing.Points,
 	}
+}
+
+func writeJSONResults(path string, payload map[string]any) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -126,6 +150,61 @@ func writeJSONResults(path string, syn *experiments.SyntheticResult, study *expe
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	return enc.Encode(payload)
+}
+
+// reportOrder lists the report's figures and tables in the paper's order, the
+// order checkReport compares them in.
+var reportOrder = []string{"figure7", "table1", "table2", "figure9", "figure10", "figure11", "figure12", "table3", "table4", "figure13"}
+
+// checkReport compares payload with the JSON report at path, figure by
+// figure in the paper's order, and returns an error naming the first one
+// that differs.
+func checkReport(path string, payload map[string]any) error {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	want, err := decodeReport(raw)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	fresh, err := json.Marshal(payload)
+	if err != nil {
+		return err
+	}
+	got, err := decodeReport(fresh)
+	if err != nil {
+		return err
+	}
+	for key := range want {
+		if _, ok := got[key]; !ok {
+			return fmt.Errorf("%s has %q, which the report no longer produces", path, key)
+		}
+	}
+	for _, key := range reportOrder {
+		if !reflect.DeepEqual(got[key], want[key]) {
+			return fmt.Errorf("%s differs from %s (make report rewrites it):\n got  %v\n want %v", key, path, got[key], want[key])
+		}
+	}
+	return nil
+}
+
+// decodeReport decodes a JSON report keeping every number as its exact
+// encoding, and drops Figure 13's AvgSeconds: timings depend on the host.
+func decodeReport(raw []byte) (map[string]any, error) {
+	var r map[string]any
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	if err := dec.Decode(&r); err != nil {
+		return nil, err
+	}
+	points, _ := r["figure13"].([]any)
+	for _, p := range points {
+		if m, ok := p.(map[string]any); ok {
+			delete(m, "AvgSeconds")
+		}
+	}
+	return r, nil
 }
 
 func voteNames(study *experiments.StudyResult) map[string]int {

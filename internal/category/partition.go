@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/relation"
@@ -691,14 +690,4 @@ func (lc *levelContext) attach(pl *plan, s []*Node) []*Node {
 		}
 	}
 	return frontier
-}
-
-// equalFoldContains reports whether list contains s case-insensitively.
-func equalFoldContains(list []string, s string) bool {
-	for _, v := range list {
-		if strings.EqualFold(v, s) {
-			return true
-		}
-	}
-	return false
 }

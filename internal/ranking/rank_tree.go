@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"repro/internal/category"
-	"repro/internal/relation"
 )
 
 // RankTree reorders the tuple-set of every category in the tree by
@@ -39,10 +38,4 @@ func sortByScore(rows []int, scores map[int]float64) {
 	for i, p := range tmp {
 		rows[i] = p.row
 	}
-}
-
-// RankRows is Rank over an arbitrary row set of rel — the flat ranked-list
-// presentation.
-func RankRows(r *Ranker, rel *relation.Relation, rows []int) []int {
-	return r.Rank(rel, rows)
 }

@@ -45,9 +45,9 @@ func BenchmarkNOverlapRange(b *testing.B) {
 }
 
 // BenchmarkAddQuery measures the incremental (online-learning) update. The
-// stats are rebuilt periodically: the sorted-range insert is O(n), so an
-// unbounded accumulation across b.N iterations would measure growth, not
-// the per-update cost at a realistic workload size.
+// stats are rebuilt periodically: the range insert costs O(√n) amortized,
+// so an unbounded accumulation across b.N iterations would measure growth,
+// not the per-update cost at a realistic workload size.
 func BenchmarkAddQuery(b *testing.B) {
 	w := benchWorkload(b, 1000)
 	cfg := Config{Intervals: map[string]float64{"price": 5000}}

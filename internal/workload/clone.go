@@ -1,75 +1,67 @@
 package workload
 
-import "repro/internal/sqlparse"
+import (
+	"maps"
+	"slices"
+	"sync/atomic"
 
-// Clone support for the snapshot-swapped serving path: an online-learning
-// system never mutates published statistics in place. Instead the writer
-// clones the current tables off the hot path, folds the new queries into the
-// clone with AddQuery, and publishes the clone with a single atomic store —
-// readers keep using the old snapshot, unlocked, until they next load.
+	"repro/internal/sqlparse"
+)
 
-// Clone returns a deep copy of the statistics: mutating the copy (AddQuery)
-// never touches the original, so a published original stays safe for
-// lock-free concurrent readers.
+// Copy-on-write support for the snapshot-swapped serving path: an
+// online-learning system never mutates published statistics. The writer
+// clones the current Stats, which copies only the map of per-attribute table
+// pointers and the rank order; folds the new queries into the clone with
+// AddQuery, which copies an attribute's tables the first time the clone
+// writes them; and publishes the clone with one atomic store. A learn thus
+// copies only the tables its query touches, plus a numeric attribute's
+// range delta but never its range base (rangeIndex), and readers keep using
+// the old snapshot, unlocked, until they next load.
+//
+// Ownership is a tag: every Stats carries an owner number, every table the
+// number of the Stats that created or copied it, and a Stats writes a table
+// in place only when the numbers match. Clone gives both sides new numbers,
+// so neither writes the tables they now share.
+
+// owners numbers Stats; 0 is never issued.
+var owners atomic.Uint64
+
+func newOwner() uint64 { return owners.Add(1) }
+
+// Clone returns a copy of the statistics that AddQuery can write without
+// touching the original, so a published original stays safe for lock-free
+// concurrent readers. The two share every table until one of them writes
+// it; writes to either side after the Clone stay invisible to the other.
+// Clone is a reader: it may run concurrently with other readers, but not
+// with AddQuery on the same Stats.
 func (s *Stats) Clone() *Stats {
-	out := &Stats{
-		n:          s.n,
-		attrUsage:  make(map[string]int, len(s.attrUsage)),
-		occ:        make(map[string]map[string]int, len(s.occ)),
-		splits:     make(map[string]*SplitTable, len(s.splits)),
-		ranges:     make(map[string]*rangeIndex, len(s.ranges)),
-		attrByFreq: append([]string(nil), s.attrByFreq...),
-		caseOf:     make(map[string]string, len(s.caseOf)),
+	s.owner.Store(newOwner())
+	out := &Stats{n: s.n, attrs: maps.Clone(s.attrs), byFreq: slices.Clone(s.byFreq)}
+	out.owner.Store(newOwner())
+	return out
+}
+
+// copyFor returns a copy of the tables that owner may write. The range base
+// stays shared: nothing writes it once built.
+func (t *attrStats) copyFor(owner uint64) *attrStats {
+	out := &attrStats{owner: owner, name: t.name, usage: t.usage, occ: maps.Clone(t.occ)}
+	if st := t.splits; st != nil {
+		out.splits = &SplitTable{Interval: st.Interval, start: maps.Clone(st.start), end: maps.Clone(st.end)}
 	}
-	for k, v := range s.attrUsage {
-		out.attrUsage[k] = v
-	}
-	for k, m := range s.occ {
-		mm := make(map[string]int, len(m))
-		for v, n := range m {
-			mm[v] = n
-		}
-		out.occ[k] = mm
-	}
-	for k, st := range s.splits {
-		out.splits[k] = st.clone()
-	}
-	for k, ri := range s.ranges {
-		out.ranges[k] = &rangeIndex{
-			los: append([]float64(nil), ri.los...),
-			his: append([]float64(nil), ri.his...),
-		}
-	}
-	for k, v := range s.caseOf {
-		out.caseOf[k] = v
+	if ri := t.ranges; ri != nil {
+		out.ranges = &rangeIndex{los: ri.los, his: ri.his, dlos: slices.Clone(ri.dlos), dhis: slices.Clone(ri.dhis)}
 	}
 	return out
 }
 
-func (st *SplitTable) clone() *SplitTable {
-	out := &SplitTable{
-		Interval: st.Interval,
-		start:    make(map[float64]int, len(st.start)),
-		end:      make(map[float64]int, len(st.end)),
-	}
-	for v, n := range st.start {
-		out.start[v] = n
-	}
-	for v, n := range st.end {
-		out.end[v] = n
-	}
-	return out
-}
-
-// Clone returns a copy of the index sharing the (immutable) parsed queries
-// but owning its slice, so Add on the copy never reallocates under a reader
-// of the original.
+// Clone returns a copy of the index that Add can extend without touching the
+// original: the sealed chunks, immutable once full, are shared, and only the
+// open chunk is copied.
 func (idx *CondIndex) Clone() *CondIndex {
-	return &CondIndex{queries: append([]*sqlparse.Query(nil), idx.queries...)}
-}
-
-// Clone returns a copy of the workload owning its query slice. The parsed
-// queries themselves are shared: they are immutable once mined.
-func (w *Workload) Clone() *Workload {
-	return &Workload{Queries: append([]*sqlparse.Query(nil), w.Queries...)}
+	n := len(idx.sealed)
+	open := make([]*sqlparse.Query, len(idx.open), condChunk)
+	copy(open, idx.open)
+	// Capping the shared list makes the clone's first seal reallocate it,
+	// so neither side's seal lands in the other's backing array.
+	return &CondIndex{sealed: idx.sealed[:n:n], open: open}
 }

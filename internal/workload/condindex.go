@@ -1,10 +1,6 @@
 package workload
 
-import (
-	"strings"
-
-	"repro/internal/sqlparse"
-)
+import "repro/internal/sqlparse"
 
 // CondIndex retains the workload's per-query selection conditions so that
 // conditional (path-aware) probabilities can be computed at query time. The
@@ -19,39 +15,58 @@ import (
 // FilterCompatible as the tree grows. CountChildren then answers the
 // conditional numerators/denominators in one pass over the compatible set.
 type CondIndex struct {
-	queries []*sqlparse.Query
+	// The queries in order, as an append-only list of chunks: sealed chunks
+	// hold exactly condChunk queries and are never written again, so clones
+	// share them; open is the partly filled last chunk, private to one index.
+	sealed [][]*sqlparse.Query
+	open   []*sqlparse.Query
 }
+
+// condChunk is the number of queries per sealed chunk, a power of two.
+const condChunk = 256
 
 // NewCondIndex builds the index over the workload's queries (filtered by
 // cfg.Table like Preprocess).
 func NewCondIndex(w *Workload, cfg Config) *CondIndex {
 	idx := &CondIndex{}
 	for _, q := range w.Queries {
-		if cfg.Table != "" && !strings.EqualFold(q.Table, cfg.Table) {
-			continue
-		}
-		idx.queries = append(idx.queries, q)
+		idx.Add(q, cfg)
 	}
 	return idx
 }
 
 // N returns the number of indexed queries.
-func (idx *CondIndex) N() int { return len(idx.queries) }
+func (idx *CondIndex) N() int { return len(idx.sealed)*condChunk + len(idx.open) }
+
+// query returns the query with identifier i.
+func (idx *CondIndex) query(i int) *sqlparse.Query {
+	if c := i / condChunk; c < len(idx.sealed) {
+		return idx.sealed[c][i%condChunk]
+	}
+	return idx.open[i-len(idx.sealed)*condChunk]
+}
 
 // Add appends one more query to the index (the online-learning companion of
 // Stats.AddQuery). Not safe for concurrent use with readers.
 func (idx *CondIndex) Add(q *sqlparse.Query, cfg Config) {
-	if cfg.Table != "" && !strings.EqualFold(q.Table, cfg.Table) {
+	if !cfg.covers(q) {
 		return
 	}
-	idx.queries = append(idx.queries, q)
+	if idx.open == nil {
+		idx.open = make([]*sqlparse.Query, 0, condChunk)
+	}
+	idx.open = append(idx.open, q)
+	if len(idx.open) == condChunk {
+		idx.sealed = append(idx.sealed, idx.open)
+		idx.open = nil
+	}
 }
 
 // AllIDs returns the identifiers of every indexed query — the compatible
 // set of the empty path. The returned slice is fresh and owned by the
 // caller.
 func (idx *CondIndex) AllIDs() []int {
-	ids := make([]int, len(idx.queries))
+	ids := make([]int, idx.N())
 	for i := range ids {
 		ids[i] = i
 	}
@@ -109,7 +124,7 @@ func (p PathPred) Matches(q *sqlparse.Query) bool {
 func (idx *CondIndex) FilterCompatible(ids []int, step PathPred) []int {
 	out := make([]int, 0, len(ids))
 	for _, qi := range ids {
-		if step.Matches(idx.queries[qi]) {
+		if step.Matches(idx.query(qi)) {
 			out = append(out, qi)
 		}
 	}
@@ -124,7 +139,7 @@ func (idx *CondIndex) FilterCompatible(ids []int, step PathPred) []int {
 func (idx *CondIndex) CountChildren(ids []int, attr string, children []PathPred) (attrN int, overlap []int) {
 	overlap = make([]int, len(children))
 	for _, qi := range ids {
-		q := idx.queries[qi]
+		q := idx.query(qi)
 		if q.Cond(attr) == nil {
 			continue
 		}

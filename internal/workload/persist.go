@@ -28,21 +28,30 @@ type rangeWire struct {
 	Los, His []float64
 }
 
-// Save writes the preprocessed count tables to w.
+// Save writes the preprocessed count tables to w. Range indexes are written
+// with their delta merged in, so the format does not depend on when the
+// last merge happened.
 func (s *Stats) Save(w io.Writer) error {
 	wire := statsWire{
 		N:          s.n,
-		AttrUsage:  s.attrUsage,
-		Occ:        s.occ,
-		Splits:     make(map[string]*splitWire, len(s.splits)),
-		Ranges:     make(map[string]*rangeWire, len(s.ranges)),
-		AttrByFreq: s.attrByFreq,
+		AttrUsage:  make(map[string]int, len(s.attrs)),
+		Occ:        make(map[string]map[string]int),
+		Splits:     make(map[string]*splitWire),
+		Ranges:     make(map[string]*rangeWire),
+		AttrByFreq: s.AttrsByUsage(),
 	}
-	for k, st := range s.splits {
-		wire.Splits[k] = &splitWire{Interval: st.Interval, Start: st.start, End: st.end}
-	}
-	for k, ri := range s.ranges {
-		wire.Ranges[k] = &rangeWire{Los: ri.los, His: ri.his}
+	for k, t := range s.attrs {
+		wire.AttrUsage[k] = t.usage
+		if t.occ != nil {
+			wire.Occ[k] = t.occ
+		}
+		if t.splits != nil {
+			wire.Splits[k] = &splitWire{Interval: t.splits.Interval, Start: t.splits.start, End: t.splits.end}
+		}
+		if t.ranges != nil {
+			los, his := t.ranges.merged()
+			wire.Ranges[k] = &rangeWire{Los: los, His: his}
+		}
 	}
 	if err := gob.NewEncoder(w).Encode(&wire); err != nil {
 		return fmt.Errorf("workload: encoding stats: %w", err)
@@ -56,23 +65,24 @@ func LoadStats(r io.Reader) (*Stats, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("workload: decoding stats: %w", err)
 	}
-	s := &Stats{
-		n:          wire.N,
-		attrUsage:  wire.AttrUsage,
-		occ:        wire.Occ,
-		splits:     make(map[string]*SplitTable, len(wire.Splits)),
-		ranges:     make(map[string]*rangeIndex, len(wire.Ranges)),
-		attrByFreq: wire.AttrByFreq,
-		caseOf:     make(map[string]string, len(wire.AttrByFreq)),
-	}
+	s := newStats()
+	s.n = wire.N
+	caseOf := make(map[string]string, len(wire.AttrByFreq))
 	for _, a := range wire.AttrByFreq {
-		s.caseOf[strings.ToLower(a)] = a
+		caseOf[strings.ToLower(a)] = a
 	}
-	if s.attrUsage == nil {
-		s.attrUsage = make(map[string]int)
+	table := func(k string) *attrStats {
+		name := caseOf[k]
+		if name == "" {
+			name = k
+		}
+		return s.writable(k, name)
 	}
-	if s.occ == nil {
-		s.occ = make(map[string]map[string]int)
+	for k, n := range wire.AttrUsage {
+		table(k).usage = n
+	}
+	for k, m := range wire.Occ {
+		table(k).occ = m
 	}
 	for k, sw := range wire.Splits {
 		st := &SplitTable{Interval: sw.Interval, start: sw.Start, end: sw.End}
@@ -82,10 +92,11 @@ func LoadStats(r io.Reader) (*Stats, error) {
 		if st.end == nil {
 			st.end = make(map[float64]int)
 		}
-		s.splits[k] = st
+		table(k).splits = st
 	}
 	for k, rw := range wire.Ranges {
-		s.ranges[k] = &rangeIndex{los: rw.Los, his: rw.His}
+		table(k).ranges = &rangeIndex{los: rw.Los, his: rw.His}
 	}
+	s.sortByFreq()
 	return s, nil
 }

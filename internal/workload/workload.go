@@ -10,7 +10,8 @@
 //
 // It additionally maintains, per numeric attribute, a sorted range index so
 // NOverlap(C) — the number of workload ranges overlapping a label bucket —
-// is answered with two binary searches.
+// is answered by binary search. Learning folds queries into copy-on-write
+// clones of the tables (clone.go), never into a published Stats.
 package workload
 
 import (
@@ -20,6 +21,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/sqlparse"
 )
@@ -87,23 +89,6 @@ func (w *Workload) Split(keep func(i int) bool) (kept, held *Workload) {
 	return kept, held
 }
 
-// Merge returns a new workload containing every query of base plus the
-// personal queries repeated weight times. This is the simple integer-weight
-// form of the personalization the paper's footnote 4 leaves open: biasing
-// the aggregate statistics toward one user's own history so "the average
-// user" drifts toward *this* user. weight < 1 is treated as 1.
-func Merge(base, personal *Workload, weight int) *Workload {
-	if weight < 1 {
-		weight = 1
-	}
-	out := &Workload{Queries: make([]*sqlparse.Query, 0, base.Len()+weight*personal.Len())}
-	out.Queries = append(out.Queries, base.Queries...)
-	for i := 0; i < weight; i++ {
-		out.Queries = append(out.Queries, personal.Queries...)
-	}
-	return out
-}
-
 // Config controls preprocessing.
 type Config struct {
 	// Table restricts mining to queries over this table (case-insensitive).
@@ -119,116 +104,130 @@ type Config struct {
 	DefaultInterval float64
 }
 
+// covers reports whether q is mined under cfg's table filter.
+func (cfg Config) covers(q *sqlparse.Query) bool {
+	return cfg.Table == "" || strings.EqualFold(q.Table, cfg.Table)
+}
+
+// interval returns the splitpoint grid spacing of attr, whose lower-cased
+// form is key.
+func (cfg Config) interval(key, attr string) float64 {
+	for _, iv := range []float64{cfg.Intervals[key], cfg.Intervals[attr], cfg.DefaultInterval} {
+		if iv != 0 {
+			return iv
+		}
+	}
+	return 1
+}
+
 // Stats is the preprocessed form of a workload: the count tables plus range
 // indexes. Build it once (offline, per the paper) and share it across
 // queries; it is read-only after construction and safe for concurrent use.
+// Online learning writes a Clone, never a published Stats (clone.go).
 type Stats struct {
-	n          int
-	attrUsage  map[string]int            // lower(attr) -> NAttr
-	occ        map[string]map[string]int // lower(attr) -> value -> occ
-	splits     map[string]*SplitTable    // lower(attr) -> splitpoint table
-	ranges     map[string]*rangeIndex    // lower(attr) -> sorted range ends
-	attrByFreq []string                  // attrs sorted by NAttr desc (original case of first sight)
-	caseOf     map[string]string         // lower(attr) -> original case
+	n     int
+	attrs map[string]*attrStats // lower(attr) -> that attribute's tables
+	// byFreq holds the keys of attrs by NAttr descending, key ascending on
+	// ties. AddQuery reorders it in place, so its backing array belongs to
+	// this Stats alone.
+	byFreq []string
+	// owner tags the tables this Stats may write in place (clone.go).
+	owner atomic.Uint64
+}
+
+// attrStats holds one attribute's count tables. A Stats and its clones share
+// them; only the Stats whose owner tag they carry writes them.
+type attrStats struct {
+	owner  uint64
+	name   string         // the attribute's case at first sight
+	usage  int            // NAttr
+	occ    map[string]int // value -> occ(v); nil without an IN condition
+	splits *SplitTable    // nil without a range condition
+	ranges *rangeIndex    // nil without a range condition
+}
+
+func newStats() *Stats {
+	s := &Stats{attrs: make(map[string]*attrStats)}
+	s.owner.Store(newOwner())
+	return s
 }
 
 // Preprocess scans the workload once and builds the count tables.
 func Preprocess(w *Workload, cfg Config) *Stats {
-	s := &Stats{
-		n:         0,
-		attrUsage: make(map[string]int),
-		occ:       make(map[string]map[string]int),
-		splits:    make(map[string]*SplitTable),
-		ranges:    make(map[string]*rangeIndex),
-		caseOf:    make(map[string]string),
-	}
-	caseOf := s.caseOf
+	s := newStats()
 	for _, q := range w.Queries {
-		if cfg.Table != "" && !strings.EqualFold(q.Table, cfg.Table) {
+		if !cfg.covers(q) {
 			continue
 		}
 		s.n++
 		for _, c := range q.Conds {
-			key := strings.ToLower(c.Attr)
-			if _, ok := caseOf[key]; !ok {
-				caseOf[key] = c.Attr
-			}
-			s.attrUsage[key]++
-			if !c.IsRange {
-				m := s.occ[key]
-				if m == nil {
-					m = make(map[string]int)
-					s.occ[key] = m
-				}
-				for _, v := range c.Values {
-					m[v]++
-				}
-				continue
-			}
-			st := s.splits[key]
-			if st == nil {
-				iv := cfg.Intervals[key]
-				if iv == 0 {
-					iv = cfg.Intervals[c.Attr]
-				}
-				if iv == 0 {
-					iv = cfg.DefaultInterval
-				}
-				if iv == 0 {
-					iv = 1
-				}
-				st = &SplitTable{Interval: iv, start: make(map[float64]int), end: make(map[float64]int)}
-				s.splits[key] = st
-			}
-			lo, hi := c.Interval()
-			if !math.IsInf(lo, -1) {
-				st.start[st.snap(lo)]++
-			}
-			if !math.IsInf(hi, 1) {
-				st.end[st.snap(hi)]++
-			}
-			ri := s.ranges[key]
-			if ri == nil {
-				ri = &rangeIndex{}
-				s.ranges[key] = ri
-			}
-			elo, ehi := lo, hi
-			if c.LoStrict {
-				elo = math.Nextafter(elo, math.Inf(1))
-			}
-			if c.HiStrict {
-				ehi = math.Nextafter(ehi, math.Inf(-1))
-			}
-			ri.los = append(ri.los, elo)
-			ri.his = append(ri.his, ehi)
+			s.count(c, cfg, true)
 		}
 	}
-	for _, ri := range s.ranges {
-		sort.Float64s(ri.los)
-		sort.Float64s(ri.his)
+	for _, t := range s.attrs {
+		if t.ranges != nil {
+			sort.Float64s(t.ranges.los)
+			sort.Float64s(t.ranges.his)
+		}
 	}
-	s.resortByFreq()
+	s.sortByFreq()
 	return s
 }
 
-// resortByFreq rebuilds attrByFreq from the usage counts.
-func (s *Stats) resortByFreq() {
-	s.attrByFreq = s.attrByFreq[:0]
-	for key := range s.attrUsage {
-		name := s.caseOf[key]
-		if name == "" {
-			name = key
+// count folds one condition into its attribute's tables. A batch build
+// appends range bounds unsorted to the base (Preprocess sorts them once);
+// otherwise they go to the sorted delta.
+func (s *Stats) count(c *sqlparse.Condition, cfg Config, batch bool) {
+	key := strings.ToLower(c.Attr)
+	t := s.writable(key, c.Attr)
+	t.usage++
+	if !c.IsRange {
+		if t.occ == nil {
+			t.occ = make(map[string]int)
 		}
-		s.attrByFreq = append(s.attrByFreq, name)
+		for _, v := range c.Values {
+			t.occ[v]++
+		}
+		return
 	}
-	sort.Slice(s.attrByFreq, func(i, j int) bool {
-		ui := s.attrUsage[strings.ToLower(s.attrByFreq[i])]
-		uj := s.attrUsage[strings.ToLower(s.attrByFreq[j])]
-		if ui != uj {
-			return ui > uj
-		}
-		return strings.ToLower(s.attrByFreq[i]) < strings.ToLower(s.attrByFreq[j])
-	})
+	if t.splits == nil {
+		t.splits = &SplitTable{Interval: cfg.interval(key, c.Attr), start: make(map[float64]int), end: make(map[float64]int)}
+	}
+	if t.ranges == nil {
+		t.ranges = &rangeIndex{}
+	}
+	lo, hi := c.Interval()
+	if !math.IsInf(lo, -1) {
+		t.splits.start[t.splits.snap(lo)]++
+	}
+	if !math.IsInf(hi, 1) {
+		t.splits.end[t.splits.snap(hi)]++
+	}
+	if c.LoStrict {
+		lo = math.Nextafter(lo, math.Inf(1))
+	}
+	if c.HiStrict {
+		hi = math.Nextafter(hi, math.Inf(-1))
+	}
+	if batch {
+		t.ranges.los = append(t.ranges.los, lo)
+		t.ranges.his = append(t.ranges.his, hi)
+	} else {
+		t.ranges.insert(lo, hi)
+	}
+}
+
+// sortByFreq sorts byFreq into rank order with one full sort.
+func (s *Stats) sortByFreq() {
+	sort.Slice(s.byFreq, func(i, j int) bool { return s.ranksBefore(s.byFreq[i], s.byFreq[j]) })
+}
+
+// ranksBefore reports whether attribute key a ranks before key b in byFreq.
+func (s *Stats) ranksBefore(a, b string) bool {
+	if ua, ub := s.attrs[a].usage, s.attrs[b].usage; ua != ub {
+		return ua > ub
+	}
+	return a < b
 }
 
 // N returns the number of mined queries.
@@ -236,31 +235,42 @@ func (s *Stats) N() int { return s.n }
 
 // NAttr returns the number of workload queries carrying a selection
 // condition on attr (case-insensitive).
-func (s *Stats) NAttr(attr string) int { return s.attrUsage[strings.ToLower(attr)] }
+func (s *Stats) NAttr(attr string) int {
+	if t := s.attrs[strings.ToLower(attr)]; t != nil {
+		return t.usage
+	}
+	return 0
+}
 
 // UsageFraction returns NAttr(attr)/N, the fraction of users interested in
 // only a few values of attr — the SHOWCAT probability when attr
 // subcategorizes a node. It is 0 for an empty workload.
-func (s *Stats) UsageFraction(attr string) float64 {
+func (s *Stats) UsageFraction(attr string) float64 { return s.fraction(s.NAttr(attr)) }
+
+func (s *Stats) fraction(usage int) float64 {
 	if s.n == 0 {
 		return 0
 	}
-	return float64(s.NAttr(attr)) / float64(s.n)
+	return float64(usage) / float64(s.n)
 }
 
 // Occ returns occ(v): how many workload queries mention value v of the
 // categorical attribute attr in an IN clause (or equality).
 func (s *Stats) Occ(attr, v string) int {
-	m := s.occ[strings.ToLower(attr)]
-	if m == nil {
-		return 0
+	if t := s.attrs[strings.ToLower(attr)]; t != nil {
+		return t.occ[v]
 	}
-	return m[v]
+	return 0
 }
 
 // Splits returns the splitpoint table for the numeric attribute attr, or nil
 // if the workload contains no range condition on it.
-func (s *Stats) Splits(attr string) *SplitTable { return s.splits[strings.ToLower(attr)] }
+func (s *Stats) Splits(attr string) *SplitTable {
+	if t := s.attrs[strings.ToLower(attr)]; t != nil {
+		return t.splits
+	}
+	return nil
+}
 
 // NOverlapValues counts workload queries whose IN condition on attr mentions
 // at least one value in set. For the single-value categories the algorithm
@@ -288,25 +298,29 @@ func (s *Stats) NOverlapValues(attr string, set map[string]struct{}) int {
 // NOverlapRange counts workload queries whose range condition on attr
 // overlaps the half-open label bucket [lo, hi).
 func (s *Stats) NOverlapRange(attr string, lo, hi float64) int {
-	ri := s.ranges[strings.ToLower(attr)]
-	if ri == nil {
+	t := s.attrs[strings.ToLower(attr)]
+	if t == nil || t.ranges == nil {
 		return 0
 	}
-	return ri.countOverlapping(lo, hi)
+	return t.ranges.countOverlapping(lo, hi)
 }
 
 // AttrsByUsage returns all attributes seen in the workload, most-used first.
 func (s *Stats) AttrsByUsage() []string {
-	return append([]string(nil), s.attrByFreq...)
+	out := make([]string, len(s.byFreq))
+	for i, key := range s.byFreq {
+		out[i] = s.attrs[key].name
+	}
+	return out
 }
 
 // Retained returns the attributes surviving the elimination heuristic of
 // §5.1.1: those with NAttr(A)/N ≥ x, most-used first.
 func (s *Stats) Retained(x float64) []string {
 	var out []string
-	for _, a := range s.attrByFreq {
-		if s.UsageFraction(a) >= x {
-			out = append(out, a)
+	for _, key := range s.byFreq {
+		if t := s.attrs[key]; s.fraction(t.usage) >= x {
+			out = append(out, t.name)
 		}
 	}
 	return out
@@ -317,17 +331,70 @@ func (s *Stats) Retained(x float64) []string {
 // attribute. A range [l, h] overlaps [lo, hi) iff l < hi and h >= lo; the
 // complement (h < lo, or l >= hi) is countable from the sorted slices, and
 // the two failure modes are mutually exclusive when lo < hi.
+//
+// The bounds live in two parts. The base is immutable once built, so a
+// Stats and its clones share it. The delta holds the ranges learned since
+// the base was built, belongs to one Stats, and merges into a freshly
+// allocated base once it passes about √N entries: a learn costs O(√N)
+// amortized and copies no base. Both parts are sorted, so a count is the
+// exact sum of the two parts' counts.
 type rangeIndex struct {
-	los, his []float64 // sorted; ±Inf for open bounds
+	los, his   []float64 // base, sorted; ±Inf for open bounds
+	dlos, dhis []float64 // delta, sorted
 }
 
 func (ri *rangeIndex) countOverlapping(lo, hi float64) int {
 	if hi <= lo {
 		return 0
 	}
-	endsBefore := sort.SearchFloat64s(ri.his, lo)                // ranges with h < lo
-	startsAfter := len(ri.los) - sort.SearchFloat64s(ri.los, hi) // ranges with l >= hi
-	return len(ri.los) - endsBefore - startsAfter
+	return overlapping(ri.los, ri.his, lo, hi) + overlapping(ri.dlos, ri.dhis, lo, hi)
+}
+
+// overlapping counts the ranges of one sorted part that overlap [lo, hi).
+func overlapping(los, his []float64, lo, hi float64) int {
+	endsBefore := sort.SearchFloat64s(his, lo)             // ranges with h < lo
+	startsAfter := len(los) - sort.SearchFloat64s(los, hi) // ranges with l >= hi
+	return len(los) - endsBefore - startsAfter
+}
+
+// insert adds one range to the delta, first merging the delta into a fresh
+// base when it has passed √N entries. The caller owns the delta.
+func (ri *rangeIndex) insert(lo, hi float64) {
+	if d := len(ri.dlos); d*d > len(ri.los) {
+		ri.los, ri.his = ri.merged()
+		ri.dlos, ri.dhis = ri.dlos[:0], ri.dhis[:0]
+	}
+	ri.dlos = insertSorted(ri.dlos, lo)
+	ri.dhis = insertSorted(ri.dhis, hi)
+}
+
+// merged returns the sorted union of base and delta bounds: the base itself
+// when the delta is empty, else freshly allocated slices.
+func (ri *rangeIndex) merged() (los, his []float64) {
+	if len(ri.dlos) == 0 {
+		return ri.los, ri.his
+	}
+	return mergeSorted(ri.los, ri.dlos), mergeSorted(ri.his, ri.dhis)
+}
+
+func insertSorted(xs []float64, v float64) []float64 {
+	i := sort.SearchFloat64s(xs, v)
+	xs = append(xs, 0)
+	copy(xs[i+1:], xs[i:])
+	xs[i] = v
+	return xs
+}
+
+func mergeSorted(a, b []float64) []float64 {
+	out := make([]float64, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if b[0] < a[0] {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	return append(append(out, a...), b...)
 }
 
 // SplitTable is the per-attribute splitpoints table of Figure 5(b):

@@ -118,16 +118,15 @@ selectbench:
 		  -o BENCH_select.json
 	@echo wrote BENCH_select.json
 
-# The segmented-storage numbers, recorded as BENCH_segment.json: steady-state
-# per-row Append cost at growing preloads, the append-then-read cost of the
-# incremental maintenance path against the replayed drop-everything design on
-# a preloaded 100k relation, and zone-map-pruned vs structurally-unpruned
-# cold Select at paper scale (1.7M rows; DESIGN.md §14).
+# The append-maintenance numbers, recorded as BENCH_segment.json: steady-state
+# per-row Append cost at growing preloads, and the append-then-read cost of
+# the incremental maintenance path against the replayed drop-everything
+# design on a preloaded 100k relation (DESIGN.md §14).
 segmentbench:
-	go test -run='^$$' -bench='^BenchmarkSegment' -benchmem -count=5 -timeout=45m ./internal/relation \
+	go test -run='^$$' -bench='^BenchmarkSegment' -benchmem -count=5 ./internal/relation \
 		| tee segmentbench_output.txt \
 		| go run ./cmd/benchjson \
-		  -note "segmented columnar store: incremental append maintenance vs drop-everything baseline (rows=100000) + zone-map pruning at paper scale (rows=1700000, DESIGN.md §14)" \
+		  -note "incremental columnar maintenance: per-row append cost and append-then-read vs drop-everything baseline (rows=100000, DESIGN.md §14)" \
 		  -o BENCH_segment.json
 	@echo wrote BENCH_segment.json
 

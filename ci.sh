@@ -46,10 +46,10 @@ go test -race ./internal/category ./internal/relation ./internal/sqlparse \
 step "concurrent categorize/append under race"
 go test -race -count=1 -run 'TestConcurrentCategorizeAppend' ./internal/category
 
-step "segmented storage: seal/select races + golden equivalence under race"
+step "append/select races under race"
 go test -race -count=1 \
-    -run 'TestSegment|TestConcurrentAppendSealSelect|TestAppendExtends|TestZone' \
-    ./internal/category ./internal/relation
+    -run 'TestConcurrentAppendSelect|TestAppendExtends|TestStaleSnapshotNeverShrinksColumns|TestSegmentedSelectEquivalence' \
+    ./internal/relation
 
 step "stale-miss equivalence + warmer + copy-on-write snapshots under race"
 go test -race -count=1 -run 'TestServeStale|TestLearnBatchServeRace|TestWarm' .

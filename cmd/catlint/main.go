@@ -1,5 +1,5 @@
 // Command catlint runs the repository's project-specific static-analysis
-// suite (internal/lint): twelve checks, each mechanizing an invariant a past
+// suite (internal/lint): eleven checks, each mechanizing an invariant a past
 // PR broke and then fixed by hand — see DESIGN.md §11 and §16.
 //
 // Usage:

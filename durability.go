@@ -41,7 +41,7 @@ func CreateDurable(dir string, schema *Schema, opts DurableOptions) (*DurableSto
 }
 
 // OpenDurable recovers the store in dir: the WAL is replayed to the first
-// torn record, segment checksums are verified lazily on first use, and
+// torn record, column-page checksums are verified as Relation reads them, and
 // corrupt segments are quarantined rather than refusing to start.
 func OpenDurable(dir string, opts DurableOptions) (*DurableStore, error) {
 	return durable.Open(dir, opts)

@@ -529,18 +529,19 @@ func TestCandidateAttrsNotMutated(t *testing.T) {
 }
 
 // TestConcurrentCategorizeAppend races categorization builds against row
-// appends — and therefore segment seals and incremental projection
-// extension — on a shared relation; run under -race (ci.sh's concurrent
-// categorize/append step does). The RCU row store guarantees each build sees a consistent
+// appends — and therefore incremental projection extension — on a shared
+// relation; run under -race (ci.sh's concurrent categorize/append step
+// does). The RCU row store guarantees each build sees a consistent
 // snapshot: row indices drawn from an older snapshot stay valid because
-// rows only append. Runs at segment sizes 1 (every append seals), 64
-// (seals race mid-build), and the default (tail-only churn).
+// rows only append. The relation is the one a durable store serves: its
+// rows go through a store whose segment span is 1 (every row its own
+// segment file), 64, or the default (every row stays in the WAL tail), and
+// come back through Store.Relation.
 func TestConcurrentCategorizeAppend(t *testing.T) {
 	stats := testStats(t)
 	for _, segRows := range []int{1, 64, 0} {
 		t.Run(fmt.Sprintf("segRows=%d", segRows), func(t *testing.T) {
-			forceSegmentRows(t, segRows)
-			r := testRelation(600)
+			r := durableRelation(t, testRelation(600), segRows)
 			template := r.Row(0)
 
 			var wg sync.WaitGroup

@@ -53,23 +53,12 @@ func TreeCostAll(t *Tree) float64 { return CostAll(t.Root, t.K) }
 // TreeCostOne is CostOne of the whole tree with the given frac.
 func TreeCostOne(t *Tree, frac float64) float64 { return CostOne(t.Root, t.K, frac) }
 
-// twoLevelCostAll evaluates Eq. (1) for the candidate two-level tree
+// twoLevelCostAllSpecs evaluates Eq. (1) for the candidate two-level tree
 // Tree(C, A) the level-by-level search builds during attribute selection
 // (Figure 6): C as root with SHOWTUPLES probability pw = 1−NAttr(A)/N, and
-// the proposed children as leaves. Passing child sizes and exploration
-// probabilities directly avoids materializing throw-away nodes in the inner
-// loop of the search.
-func twoLevelCostAll(parentSize int, pw, k float64, childSizes []int, childP []float64) float64 {
-	showcat := k * float64(len(childSizes))
-	for i, sz := range childSizes {
-		showcat += childP[i] * float64(sz)
-	}
-	return pw*float64(parentSize) + (1-pw)*showcat
-}
-
-// twoLevelCostAllSpecs is twoLevelCostAll reading sizes and probabilities
-// straight from a plan's childSpecs, so the search's inner loop does not
-// re-materialize them as throw-away slices.
+// the proposed children as leaves. Reading sizes and exploration
+// probabilities straight from a plan's childSpecs avoids materializing
+// throw-away nodes in the inner loop of the search.
 func twoLevelCostAllSpecs(parentSize int, pw, k float64, specs []childSpec) float64 {
 	showcat := k * float64(len(specs))
 	for i := range specs {

@@ -292,15 +292,13 @@ func TestTwoLevelCostAllMatchesGeneral(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		root := randomTwoLevel(r, 1+r.Intn(6))
-		sizes := make([]int, len(root.Children))
-		ps := make([]float64, len(root.Children))
+		specs := make([]childSpec, len(root.Children))
 		for i, c := range root.Children {
-			sizes[i] = c.Size()
-			ps[i] = c.P
+			specs[i] = childSpec{tset: c.Tset, p: c.P}
 		}
 		k := 1.5
 		want := CostAll(root, k)
-		got := twoLevelCostAll(root.Size(), root.Pw, k, sizes, ps)
+		got := twoLevelCostAllSpecs(root.Size(), root.Pw, k, specs)
 		return math.Abs(got-want) < 1e-9
 	}
 	if err := quick.Check(prop, cfg); err != nil {

@@ -3,7 +3,6 @@ package category
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -199,25 +198,4 @@ func compareGolden(t *testing.T, want, got goldenTree) {
 
 func closeTo(a, b float64) bool {
 	return math.Abs(a-b) <= 1e-9
-}
-
-// TestSegmentGoldenEquivalence is the iron contract at the tree layer: the
-// full golden scenario set rebuilt at segment sizes 1 and 64 — where the
-// 600-row test relation seals 600 and 9 segments respectively — must be
-// identical in every field to the default-segment build (which never seals
-// at this scale).
-func TestSegmentGoldenEquivalence(t *testing.T) {
-	base := goldenScenarios(t)
-	for _, segRows := range []int{1, 64} {
-		t.Run(fmt.Sprintf("segRows=%d", segRows), func(t *testing.T) {
-			forceSegmentRows(t, segRows)
-			got := goldenScenarios(t)
-			if len(got) != len(base) {
-				t.Fatalf("scenario count %d, want %d", len(got), len(base))
-			}
-			for i := range base {
-				compareGolden(t, base[i], got[i])
-			}
-		})
-	}
 }

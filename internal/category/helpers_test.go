@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/relation"
+	"repro/internal/relation/durable"
 	"repro/internal/workload"
 )
 
@@ -19,29 +20,50 @@ func testSchema() *relation.Schema {
 	)
 }
 
-// testSegmentRows, when non-zero, sets the sealed-segment size of every
-// relation testRelation builds — the segment-equivalence tests rebuild
-// goldens and race categorization against seals at sizes 1, 64, and the
-// default. Zero leaves relation.DefaultSegmentRows in effect.
-var testSegmentRows = 0
-
-// forceSegmentRows pins testRelation's segment size for one test.
-func forceSegmentRows(t testing.TB, n int) {
+// durableRelation writes src's rows through a durable store whose segment
+// span is segRows (0 means durable.DefaultSegmentRows) and returns the
+// relation the store reads back, checked row by row against src.
+func durableRelation(t *testing.T, src *relation.Relation, segRows int) *relation.Relation {
 	t.Helper()
-	old := testSegmentRows
-	testSegmentRows = n
-	t.Cleanup(func() { testSegmentRows = old })
+	st, err := durable.Create(t.TempDir(), src.Schema(), durable.Options{SegmentRows: segRows, Sync: durable.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for i := 0; i < src.Len(); i++ {
+		if err := st.Append(src.Row(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	span := segRows
+	if span == 0 {
+		span = durable.DefaultSegmentRows
+	}
+	if got, want := st.Stats().Segments, src.Len()/span; got != want {
+		t.Fatalf("store holds %d segments, want %d", got, want)
+	}
+	r, err := st.Relation("ListProperty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != src.Len() {
+		t.Fatalf("store read back %d rows, want %d", r.Len(), src.Len())
+	}
+	for i := 0; i < src.Len(); i++ {
+		got, want := r.Row(i), src.Row(i)
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("row %d: store read back %v, want %v", i, got, want)
+			}
+		}
+	}
+	return r
 }
 
 // testRelation builds a deterministic homes table with n rows spread over
 // the Seattle-area neighborhoods, price 200k-300k, 1-6 bedrooms.
 func testRelation(n int) *relation.Relation {
 	r := relation.New("ListProperty", testSchema())
-	if testSegmentRows > 0 {
-		if err := r.SetSegmentRows(testSegmentRows); err != nil {
-			panic(err)
-		}
-	}
 	hoods := []string{"Bellevue, WA", "Redmond, WA", "Seattle, WA", "Issaquah, WA", "Kirkland, WA"}
 	types := []string{"Single Family", "Condo", "Townhouse"}
 	rng := rand.New(rand.NewSource(7))

@@ -36,11 +36,6 @@ type DatasetConfig struct {
 	// (mirroring the 53-attribute MSN table of which only 6 survive
 	// elimination). Default 43, giving 53 attributes total.
 	FillerAttrs int
-	// SegmentRows, when non-zero, sets the sealed-segment size of the
-	// relation Dataset materializes (relation.SetSegmentRows). Zero keeps
-	// relation.DefaultSegmentRows. Ignored by the streaming paths, which
-	// never build a relation.
-	SegmentRows int
 }
 
 func (c DatasetConfig) withDefaults() DatasetConfig {
@@ -177,11 +172,6 @@ func Stream(cfg DatasetConfig, emit func(i int, t relation.Tuple) error) error {
 func Dataset(cfg DatasetConfig) *relation.Relation {
 	cfg = cfg.withDefaults()
 	r := relation.New(TableName, Schema(cfg))
-	if cfg.SegmentRows > 0 {
-		if err := r.SetSegmentRows(cfg.SegmentRows); err != nil {
-			panic(err) // unreachable: the relation is empty and SegmentRows ≥ 1
-		}
-	}
 	r.Grow(cfg.Rows)
 	if err := Stream(cfg, func(_ int, t relation.Tuple) error {
 		return r.Append(t)

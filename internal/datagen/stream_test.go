@@ -80,16 +80,3 @@ func TestStreamCSVMatchesWriteCSV(t *testing.T) {
 			got.Len(), want.Len())
 	}
 }
-
-// TestDatasetSegmentRows checks DatasetConfig.SegmentRows reaches the
-// relation: at 64-row segments a 300-row dataset seals 4 segments.
-func TestDatasetSegmentRows(t *testing.T) {
-	r := Dataset(DatasetConfig{Rows: 300, Seed: 2, SegmentRows: 64})
-	st := r.StorageStats()
-	if st.SegmentRows != 64 {
-		t.Fatalf("SegmentRows = %d, want 64", st.SegmentRows)
-	}
-	if st.Segments != 4 || st.SealedRows != 256 || st.TailRows != 44 {
-		t.Fatalf("stats = %+v, want 4 segments / 256 sealed / 44 tail", st)
-	}
-}

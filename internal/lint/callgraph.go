@@ -118,8 +118,7 @@ func (g *callGraph) addLits(owner *cgNode, body *ast.BlockStmt) {
 
 // bindLit registers literal-to-variable bindings (x := func(){…},
 // var x = func(){…}, x = func(){…}) so calls through the variable resolve to
-// the literal's node. Rebinding keeps the last literal — an approximation,
-// like ctxpoll's.
+// the literal's node. Rebinding keeps the last literal — an approximation.
 func (g *callGraph) bindLit(n ast.Node) {
 	bind := func(lhs ast.Expr, rhs ast.Expr) {
 		lit, ok := ast.Unparen(rhs).(*ast.FuncLit)

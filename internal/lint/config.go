@@ -21,12 +21,6 @@ type Config struct {
 	// caller's Options.CandidateAttrs through exactly such a field).
 	OptStructs *regexp.Regexp
 
-	// FanoutPkgs are the packages whose goroutine fan-outs must poll
-	// cancellation (ctxpoll); PollFuncs are the approved poll entry points
-	// beyond the built-in ctx.Err()/ctx.Done()/faultinject.Inject forms.
-	FanoutPkgs []string
-	PollFuncs  []string
-
 	// SigFuncs matches the names of functions that build signatures or cache
 	// keys; inside them sigfloat bans fmt/strconv float formatting (PR3's
 	// HiInc collision came from ad-hoc float spelling). SigNumFuncs are the
@@ -63,7 +57,7 @@ type Config struct {
 	// place (internal/relation, whose extension paths write only into
 	// unpublished spare capacity under the relation mutex). SegFields lists
 	// the shared page-carrying fields ("Type.Field") segguard bans writing,
-	// appending to, or copying into anywhere else — a sealed segment's
+	// appending to, or copying into anywhere else — a projection's
 	// Codes/Dict backing is shared by every published column snapshot and
 	// conjunct bitmap built over it (DESIGN.md §14). Reads stay free.
 	SegPkgs   []string
@@ -117,9 +111,6 @@ type PublishSink struct {
 func DefaultConfig() *Config {
 	return &Config{
 		OptStructs: regexp.MustCompile(`(Options|Config|Policy)$`),
-
-		FanoutPkgs: []string{"internal/category"},
-		PollFuncs:  []string{"ctxExpired"},
 
 		SigFuncs:    regexp.MustCompile(`(?i)(sig|key)`),
 		SigNumFuncs: []string{"internal/relation.SigNum"},

@@ -91,7 +91,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 func Checks() []*Check {
 	return []*Check{
 		checkOptMut,
-		checkCtxPoll,
 		checkSigFloat,
 		checkSnapshotGuard,
 		checkRecoverBound,

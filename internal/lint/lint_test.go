@@ -189,7 +189,7 @@ func f() {
 	_ = 2
 	//lint:ignore * recorded reason
 	_ = 3
-	_ = 4 //lint:ignore ctxpoll,hottime recorded reason
+	_ = 4 //lint:ignore nocopy,hottime recorded reason
 }
 `
 	fset := token.NewFileSet()
@@ -205,8 +205,8 @@ func f() {
 	}{
 		{5, "hottime", false}, // directive above has no reason
 		{7, "hottime", true},
-		{7, "ctxpoll", false}, // wrong check
-		{9, "ctxpoll", true},  // wildcard
+		{7, "nocopy", false},  // wrong check
+		{9, "nocopy", true},   // wildcard
 		{10, "hottime", true}, // same-line directive
 		{10, "sigfloat", false},
 	}

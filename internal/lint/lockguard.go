@@ -55,65 +55,9 @@ func runLockGuard(pass *Pass) {
 			continue // literals are walked inline from their enclosing decl
 		}
 		w := &lockWalk{lg: lg, node: n, env: newPathEnv(pass.Info), held: make(map[string]bool)}
-		lg.seedHolds(n, w)
 		flowWalk(n.body, w.ops())
 	}
 	lg.propagate()
-}
-
-// seedHolds applies `//lint:holds <mutexfield>` assertions from a method's
-// doc comment: the caller guarantees the receiver's named mutex is held on
-// entry. This is the escape hatch for callbacks invoked under a lock from
-// code the call graph cannot see — a hook registered here but fired from
-// another package (durable.Store.onSeal runs inside Append, which holds
-// s.mu, but the call arrives through the relation's seal hook). The walk
-// starts with that lock in the lockset, so the method's accesses and its
-// calls to *Locked helpers discharge; an assertion naming a non-mutex (or a
-// holds on a plain function) is itself reported.
-func (lg *lockGuard) seedHolds(n *cgNode, w *lockWalk) {
-	if n.decl.Doc == nil {
-		return
-	}
-	var recv *types.Var
-	if r := n.decl.Recv; r != nil && len(r.List) == 1 && len(r.List[0].Names) == 1 {
-		recv, _ = lg.pass.Info.Defs[r.List[0].Names[0]].(*types.Var)
-	}
-	for _, c := range n.decl.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		rest, ok := strings.CutPrefix(text, "lint:holds")
-		if !ok {
-			continue
-		}
-		fs := strings.Fields(rest)
-		if len(fs) == 0 {
-			continue
-		}
-		name := fs[0]
-		if recv == nil || !hasMutexField(recv.Type(), name) {
-			lg.pass.Reportf(n.decl.Pos(), "lint:holds names %q, which is not a sync.Mutex/RWMutex field of the receiver", name)
-			continue
-		}
-		w.held[w.env.key(apath{root: recv, fields: []string{name}})] = true
-	}
-}
-
-// hasMutexField reports whether t (possibly a pointer to a named struct)
-// has a direct field called name of type sync.Mutex/RWMutex.
-func hasMutexField(t types.Type, name string) bool {
-	named, ok := derefNamed(t)
-	if !ok {
-		return false
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		if f := st.Field(i); f.Name() == name {
-			return isMutexType(f.Type())
-		}
-	}
-	return false
 }
 
 // collectGuarded reads the //lint:guardedby annotations off struct fields

@@ -1,6 +1,6 @@
 // Package clean is the all-negative fixture: code adjacent to every check's
 // pattern that must produce zero diagnostics, proving the checks stay scoped
-// (hottime and ctxpoll to their packages, nocopy to the serving path) and
+// (hottime to its packages, nocopy to the serving path) and
 // that suppressions silence true positives.
 package clean
 

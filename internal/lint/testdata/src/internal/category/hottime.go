@@ -1,6 +1,6 @@
 // Package category is the hot-path fixture mirror: its import path contains
-// "internal/category", so the ctxpoll and hottime checks scope to it exactly
-// as they do to the real categorizer.
+// "internal/category", so the hottime check scopes to it exactly as it does
+// to the real categorizer.
 package category
 
 import (

@@ -106,23 +106,6 @@ type badAnno struct {
 	n int // want `guardedby names "mux", which is not a sync.Mutex/RWMutex field of badAnno`
 }
 
-// onEvict mirrors the callback-under-lock idiom (durable.Store.onSeal): it
-// is fired from code outside the package while the caller holds s.mu, which
-// the call graph cannot see. The holds assertion records that contract, so
-// its accesses — and its call into the locked-caller helper — stay quiet.
-//
-//lint:holds mu
-func (s *store) onEvict(k string) {
-	s.hits--
-	s.bump(k)
-}
-
-// badHolds asserts a field that is not a mutex of the receiver: the
-// assertion itself is the finding.
-//
-//lint:holds hits
-func (s *store) badHolds() {} // want `lint:holds names "hits", which is not a sync.Mutex/RWMutex field of the receiver`
-
 // rwstore exercises RWMutex read-side locking.
 type rwstore struct {
 	mu sync.RWMutex

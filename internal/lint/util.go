@@ -85,12 +85,6 @@ func namedFrom(t types.Type) (pkgPath, name string, ok bool) {
 	return obj.Pkg().Path(), obj.Name(), true
 }
 
-// isContext reports whether t is context.Context.
-func isContext(t types.Type) bool {
-	pkg, name, ok := namedFrom(t)
-	return ok && pkg == "context" && name == "Context"
-}
-
 // funcDeclName returns the declared function's qualified name within its
 // package ("Func" or "Type.Method").
 func funcDeclName(fd *ast.FuncDecl) string {

@@ -112,3 +112,27 @@ func BenchmarkSelectQueryCold(b *testing.B) {
 		}
 	})
 }
+
+// dropColumns invalidates all cached projections: the drop-everything
+// baseline of the build and append benchmarks (Append never drops them).
+func (r *Relation) dropColumns() {
+	r.cols.mu.Lock()
+	r.cols.cat = nil
+	r.cols.num = nil
+	r.cols.sorted = nil
+	r.cols.identity = nil
+	r.cols.idBacking = nil
+	r.cols.mu.Unlock()
+}
+
+// dropConjuncts empties the conjunct-bitmap cache: the cold-select and
+// drop-everything baselines of the benchmarks (stale entries extend
+// instead).
+func (r *Relation) dropConjuncts() {
+	r.vsel.mu.Lock()
+	if r.vsel.ll != nil {
+		r.vsel.ll.Init()
+		clear(r.vsel.table)
+	}
+	r.vsel.mu.Unlock()
+}

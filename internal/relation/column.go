@@ -23,13 +23,13 @@ import (
 // snapshots published RCU-style, and appending rows no longer invalidates
 // them. A read against a stale projection extends it — new rows are encoded
 // into spare capacity beyond the published length (invisible to holders of
-// the older snapshot) and a longer snapshot is published. The sealed prefix
-// is never re-read; per-row maintenance cost is O(1) amortized instead of
+// the older snapshot) and a longer snapshot is published. Rows already
+// projected are never re-read; per-row maintenance cost is O(1) amortized instead of
 // the historical O(total rows) drop-and-rebuild. The one structural event
 // is a dictionary remap: when a categorical value never seen before
 // arrives, the sorted dictionary gains an entry and every code at or above
 // the insertion point shifts by the insert count — a pure integer rewrite
-// of the code array (no sealed row is re-read, no string is re-hashed),
+// of the code array (no stored row is re-read, no string is re-hashed),
 // bounded by the number of distinct values ever appended.
 //
 // Concurrent readers are safe: the cache is mutex-guarded, published
@@ -300,7 +300,7 @@ func (r *Relation) catColumnLocked(key string, pos int, rows []Tuple) *CatColumn
 	} else {
 		// Dictionary remap: merge the new values into the sorted dictionary
 		// and shift existing codes past each insertion point. An integer
-		// rewrite of the code array — sealed rows are not re-read.
+		// rewrite of the code array — projected rows are not re-read.
 		newDict := make([]string, 0, len(dict)+len(newVals))
 		shift := make([]uint32, len(dict))
 		i, j := 0, 0
@@ -431,8 +431,8 @@ func (r *Relation) BuildColumns(attrs ...string) error {
 	return nil
 }
 
-// lower ASCII-lowercases an attribute name for the projection and zone-map
-// cache keys, returning s itself (no allocation) when it is already lower.
+// lower ASCII-lowercases an attribute name for the projection cache keys,
+// returning s itself (no allocation) when it is already lower.
 func lower(s string) string {
 	b := []byte(s)
 	changed := false
@@ -446,17 +446,4 @@ func lower(s string) string {
 		return s
 	}
 	return string(b)
-}
-
-// dropColumns invalidates all cached projections. No longer on the Append
-// path (maintenance is incremental); retained as the drop-everything
-// baseline for the segment benchmarks and invalidation tests.
-func (r *Relation) dropColumns() {
-	r.cols.mu.Lock()
-	r.cols.cat = nil
-	r.cols.num = nil
-	r.cols.sorted = nil
-	r.cols.identity = nil
-	r.cols.idBacking = nil
-	r.cols.mu.Unlock()
 }

@@ -99,7 +99,7 @@ func crashAt(t *testing.T, site string, k uint64, shortWrite bool, total, segRow
 	if got < floor {
 		t.Fatalf("site %s k=%d short=%v: recovered %d rows, %d acknowledged (floor %d)", site, k, shortWrite, got, acked, floor)
 	}
-	assertStoreMatches(t, st2, memRelation(t, got, segRows), checkTrees)
+	assertStoreMatches(t, st2, memRelation(t, got), checkTrees)
 }
 
 func TestCrashChaosKillAtEveryPoint(t *testing.T) {
@@ -159,7 +159,7 @@ func TestCrashChaosRecoverCrash(t *testing.T) {
 		if got < acked {
 			t.Fatalf("recovered %d rows, %d acknowledged", got, acked)
 		}
-		assertStoreMatches(t, st2, memRelation(t, got, segRows), true)
+		assertStoreMatches(t, st2, memRelation(t, got), true)
 		st2.Close()
 	}
 }
@@ -198,7 +198,7 @@ func TestCrashChaosTruncationSweep(t *testing.T) {
 		prevRows = got
 		// Full equivalence on a sample; row-count monotonicity everywhere.
 		if cut%25 == 0 {
-			assertStoreMatches(t, st, memRelation(t, got, segRows), false)
+			assertStoreMatches(t, st, memRelation(t, got), false)
 		}
 		st.Close()
 	}
@@ -219,7 +219,7 @@ func TestCrashChaosSegmentTruncationSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := memRelation(t, total, segRows)
+	mem := memRelation(t, total)
 	for cut := 0; cut < len(orig); cut += 97 {
 		if err := os.WriteFile(dirFile(t, dir, seg), orig[:cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -370,7 +370,7 @@ func requireCrashChaos(t *testing.T) {
 // site's full hit range, recovered and verified each time.
 func TestCrashChaosScale100k(t *testing.T) {
 	requireCrashChaos(t)
-	const total, segRows, syncEvery = 100_000, relation.DefaultSegmentRows, 256
+	const total, segRows, syncEvery = 100_000, DefaultSegmentRows, 256
 	hits := cleanHits(t, total, segRows, SyncBatch)
 	const samples = 12
 	for _, site := range chaosSites {
@@ -402,7 +402,7 @@ func scaleTuple(i int) relation.Tuple {
 // answers a selective Select with exactly the rows the range names.
 func TestScaleReopenSelect1M7(t *testing.T) {
 	requireCrashChaos(t)
-	const total, segRows = 1_700_000, relation.DefaultSegmentRows
+	const total, segRows = 1_700_000, DefaultSegmentRows
 	dir := t.TempDir()
 	st, err := Create(dir, testSchema(), Options{SegmentRows: segRows, Sync: SyncNone})
 	if err != nil {

@@ -1,7 +1,7 @@
-// Package durable is the crash-consistent on-disk half of the segmented
-// store (DESIGN.md §15). Sealed segments spill to immutable per-segment
-// files (dense numeric blocks, local dictionary pages, zone-map metadata in
-// the header), the active tail is protected by a length-prefixed checksummed
+// Package durable is the crash-consistent on-disk store of a relation's
+// rows (DESIGN.md §15). Sealed segments spill to immutable per-segment
+// files (a header page, then dense numeric blocks and local dictionary
+// pages), the active tail is protected by a length-prefixed checksummed
 // append WAL, and a generation-numbered manifest is replaced atomically
 // (write-temp, fsync, rename, fsync-dir) so exactly one consistent view of
 // the dataset is ever visible, no matter where a crash lands.

@@ -53,12 +53,9 @@ func testTuple(i int) relation.Tuple {
 }
 
 // memRelation builds the in-memory reference for rows [0, n).
-func memRelation(tb testing.TB, n, segRows int) *relation.Relation {
+func memRelation(tb testing.TB, n int) *relation.Relation {
 	tb.Helper()
 	r := relation.New("ListProperty", testSchema())
-	if err := r.SetSegmentRows(segRows); err != nil {
-		tb.Fatal(err)
-	}
 	r.Grow(n)
 	for i := 0; i < n; i++ {
 		r.MustAppend(testTuple(i))

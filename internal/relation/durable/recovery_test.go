@@ -43,7 +43,7 @@ func TestRecoveryZeroLengthWAL(t *testing.T) {
 		t.Fatalf("zero-length WAL must not fail Open: %v", err)
 	}
 	// The tail (rows past the last seal) is gone; the sealed prefix serves.
-	assertStoreMatches(t, st, memRelation(t, (n/segRows)*segRows, segRows), false)
+	assertStoreMatches(t, st, memRelation(t, (n/segRows)*segRows), false)
 	stats := st.Stats()
 	if !stats.RecoveredTorn || stats.RecoveredTailRows != 0 {
 		t.Errorf("stats = torn:%v tail:%d, want torn:true tail:0", stats.RecoveredTorn, stats.RecoveredTailRows)
@@ -60,7 +60,7 @@ func TestRecoveryZeroLengthWAL(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	assertStoreMatches(t, st2, memRelation(t, n, segRows), true)
+	assertStoreMatches(t, st2, memRelation(t, n), true)
 }
 
 func TestRecoveryTornFinalRecord(t *testing.T) {
@@ -79,7 +79,7 @@ func TestRecoveryTornFinalRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("torn final record must not fail Open: %v", err)
 	}
-	assertStoreMatches(t, st, memRelation(t, n-1, segRows), false)
+	assertStoreMatches(t, st, memRelation(t, n-1), false)
 	if !st.Stats().RecoveredTorn {
 		t.Error("torn tail not reported")
 	}
@@ -95,7 +95,7 @@ func TestRecoveryTornFinalRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	assertStoreMatches(t, st2, memRelation(t, n+10, segRows), false)
+	assertStoreMatches(t, st2, memRelation(t, n+10), false)
 }
 
 func TestRecoveryBitFlippedSegmentPage(t *testing.T) {
@@ -103,7 +103,7 @@ func TestRecoveryBitFlippedSegmentPage(t *testing.T) {
 	dir := t.TempDir()
 	seedStore(t, dir, n, segRows)
 	// Flip a byte near the end of the second segment file: a column page,
-	// not the header — quarantine must happen lazily, on first map-in.
+	// not the header — quarantine must wait until Relation() reads it.
 	corrupt(t, filepath.Join(dir, segFileName(segRows, 2*segRows)), -2)
 
 	st, err := Open(dir, Options{})
@@ -112,17 +112,17 @@ func TestRecoveryBitFlippedSegmentPage(t *testing.T) {
 	}
 	defer st.Close()
 	if st.Degraded() {
-		t.Fatal("column-page damage detected before any page was mapped in")
+		t.Fatal("column-page damage detected before any page was read")
 	}
 	rel, err := st.Relation("ListProperty")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !st.Degraded() {
-		t.Fatal("corrupt column page not quarantined on map-in")
+		t.Fatal("corrupt column page not quarantined when read")
 	}
 	// Surviving rows: all but the quarantined segment's span.
-	mem := memRelation(t, n, segRows)
+	mem := memRelation(t, n)
 	wantLen := n - segRows
 	if rel.Len() != wantLen {
 		t.Fatalf("surviving relation has %d rows, want %d", rel.Len(), wantLen)
@@ -146,6 +146,23 @@ func TestRecoveryBitFlippedSegmentPage(t *testing.T) {
 	stats := st.Stats()
 	if !stats.Degraded || stats.QuarantinedRows != segRows {
 		t.Errorf("stats degraded=%v quarantinedRows=%d, want true/%d", stats.Degraded, stats.QuarantinedRows, segRows)
+	}
+	// No page is kept: a second Relation() reads the pages again and must
+	// serve the same surviving rows without quarantining anything twice.
+	rel2, err := st.Relation("ListProperty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rel2.Len() != wantLen {
+		t.Fatalf("second Relation() has %d rows, want %d", rel2.Len(), wantLen)
+	}
+	for i := 0; i < rel2.Len(); i++ {
+		if !sameTuple(rel2.Row(i), rel.Row(i)) {
+			t.Fatalf("second Relation() row %d differs from the first", i)
+		}
+	}
+	if q := st.Quarantined(); len(q) != 1 {
+		t.Fatalf("quarantine records after a second Relation() = %+v, want one", q)
 	}
 }
 
@@ -223,7 +240,7 @@ func TestRecoveryMissingWAL(t *testing.T) {
 		t.Fatalf("missing WAL must not fail Open: %v", err)
 	}
 	defer st.Close()
-	assertStoreMatches(t, st, memRelation(t, (n/segRows)*segRows, segRows), false)
+	assertStoreMatches(t, st, memRelation(t, (n/segRows)*segRows), false)
 }
 
 // TestRecoveryDoubleCrash crashes an ingest with a torn write, then
@@ -277,7 +294,7 @@ func TestRecoveryDoubleCrash(t *testing.T) {
 	if got < acked {
 		t.Fatalf("recovered %d rows, %d were acknowledged under SyncAlways", got, acked)
 	}
-	assertStoreMatches(t, st2, memRelation(t, got, segRows), true)
+	assertStoreMatches(t, st2, memRelation(t, got), true)
 }
 
 // walWriteHitsBefore counts durable.write hits a clean ingest of n appends

@@ -18,7 +18,7 @@ import (
 // immutable forever after. Layout: a header page, then one column page per
 // attribute, in schema order.
 //
-//	header page  JSON: span, schema, zone maps, column-page directory
+//	header page  JSON: span, schema, column-page directory
 //	column page  numeric:     hi-lo × 8-byte LE float64 bits (a dense block)
 //	             categorical: u32 dictCount, dictCount × (u32 len + bytes)
 //	                          of the segment-local sorted dictionary, then
@@ -29,13 +29,9 @@ import (
 // the header cannot know its own encoded size before it is encoded.
 //
 // Dictionaries are per-segment and sorted: a spilled segment never hears
-// about the in-memory global dictionary's remaps, and the sorted value list
-// doubles as the categorical zone map. Zone maps for numeric columns record
-// min/max over non-NaN values (as float bits — JSON cannot carry NaN/Inf),
-// mirroring zonemap.go's conservative semantics exactly. Nothing reads the
-// persisted zone maps yet — Relation() loads every surviving page and the
-// relation rebuilds its own — but they stay in the format, so existing
-// stores open unchanged and a lazy page source can prune with them.
+// about the in-memory global dictionary's remaps. Headers written before
+// zone maps were deleted also carry a "zones" array (per-attribute min/max
+// or value sets); the reader ignores it, so those stores open unchanged.
 //
 // Spill is atomic per segment: write seg-….tmp, fsync, rename into place,
 // fsync the directory. The manifest flips to reference the segment only
@@ -43,18 +39,6 @@ import (
 // Open sweeps away.
 
 const segMagic = "DSEG1"
-
-// segZone is one attribute's zone map as stored in the segment header.
-type segZone struct {
-	// Numeric: min/max over non-NaN values as math.Float64bits; HasVal is
-	// false when every value in the span is NaN (always prunable).
-	MinBits uint64 `json:"minBits,omitempty"`
-	MaxBits uint64 `json:"maxBits,omitempty"`
-	HasVal  bool   `json:"hasVal,omitempty"`
-	// Categorical: the segment-local dictionary, sorted — every distinct
-	// value in the span.
-	Vals []string `json:"vals,omitempty"`
-}
 
 // segPage locates one column page: offset relative to the end of the header
 // page, and the framed length.
@@ -69,7 +53,6 @@ type segHeader struct {
 	Lo     int        `json:"lo"`
 	Hi     int        `json:"hi"`
 	Schema []attrMeta `json:"schema"`
-	Zones  []segZone  `json:"zones"` // positionally aligned to Schema
 	Pages  []segPage  `json:"pages"` // positionally aligned to Schema
 }
 
@@ -90,46 +73,28 @@ func (c *segColumn) bytes() uint64 {
 	return b
 }
 
-// encodeSegColumns builds the column-page payloads and zone maps for rows
-// row(lo)…row(hi-1), fetched through row (so both tail buffers and tracked
-// relations can feed a spill without copying into a common shape).
-func encodeSegColumns(schema *relation.Schema, lo, hi int, row func(i int) relation.Tuple) (pages [][]byte, zones []segZone) {
+// encodeSegColumns builds the column-page payloads of rows, one per
+// attribute in schema order.
+func encodeSegColumns(schema *relation.Schema, rows []relation.Tuple) [][]byte {
 	n := schema.Len()
-	pages = make([][]byte, n)
-	zones = make([]segZone, n)
+	pages := make([][]byte, n)
 	for a := 0; a < n; a++ {
 		if schema.Attr(a).Type == relation.Numeric {
-			payload := make([]byte, 0, 8*(hi-lo))
-			z := segZone{}
-			min, max := math.Inf(1), math.Inf(-1)
-			for i := lo; i < hi; i++ {
-				v := row(i)[a].Num
+			payload := make([]byte, 0, 8*len(rows))
+			for _, t := range rows {
 				var b [8]byte
-				binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(t[a].Num))
 				payload = append(payload, b[:]...)
-				if !math.IsNaN(v) {
-					z.HasVal = true
-					if v < min {
-						min = v
-					}
-					if v > max {
-						max = v
-					}
-				}
 			}
-			if z.HasVal {
-				z.MinBits = math.Float64bits(min)
-				z.MaxBits = math.Float64bits(max)
-			}
-			pages[a], zones[a] = payload, z
+			pages[a] = payload
 			continue
 		}
 		// Categorical: collect the span's distinct values, sort them into
 		// the local dictionary, then emit codes against it.
 		seen := make(map[string]uint32)
 		vals := make([]string, 0, 16)
-		for i := lo; i < hi; i++ {
-			s := row(i)[a].Str
+		for _, t := range rows {
+			s := t[a].Str
 			if _, ok := seen[s]; !ok {
 				seen[s] = 0
 				vals = append(vals, s)
@@ -139,7 +104,7 @@ func encodeSegColumns(schema *relation.Schema, lo, hi int, row func(i int) relat
 		for c, v := range vals {
 			seen[v] = uint32(c)
 		}
-		payload := make([]byte, 0, 4+4*(hi-lo))
+		payload := make([]byte, 0, 4+4*len(rows))
 		var b [4]byte
 		binary.LittleEndian.PutUint32(b[:], uint32(len(vals)))
 		payload = append(payload, b[:]...)
@@ -148,27 +113,28 @@ func encodeSegColumns(schema *relation.Schema, lo, hi int, row func(i int) relat
 			payload = append(payload, b[:]...)
 			payload = append(payload, v...)
 		}
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint32(b[:], seen[row(i)[a].Str])
+		for _, t := range rows {
+			binary.LittleEndian.PutUint32(b[:], seen[t[a].Str])
 			payload = append(payload, b[:]...)
 		}
-		pages[a], zones[a] = payload, segZone{Vals: vals}
+		pages[a] = payload
 	}
-	return pages, zones
+	return pages
 }
 
-// writeSegment spills rows [lo, hi) into a new segment file and returns its
-// basename and on-disk size. The file lands via the tmp/fsync/rename/
-// fsync-dir protocol; it is durable when writeSegment returns, but invisible
-// to recovery until the manifest references it.
-func (s *Store) writeSegment(ctx context.Context, lo, hi int, row func(i int) relation.Tuple) (name string, size int64, err error) {
-	pages, zones := encodeSegColumns(s.schema, lo, hi, row)
+// writeSegment spills rows, the span [lo, lo+len(rows)), into a new
+// segment file and returns its basename and on-disk size. The file lands
+// via the tmp/fsync/rename/fsync-dir protocol; it is durable when
+// writeSegment returns, but invisible to recovery until the manifest
+// references it.
+func (s *Store) writeSegment(ctx context.Context, lo int, rows []relation.Tuple) (name string, size int64, err error) {
+	hi := lo + len(rows)
+	pages := encodeSegColumns(s.schema, rows)
 	hdr := segHeader{
 		Magic:  segMagic,
 		Lo:     lo,
 		Hi:     hi,
 		Schema: schemaMeta(s.schema),
-		Zones:  zones,
 		Pages:  make([]segPage, len(pages)),
 	}
 	off := int64(0)
@@ -234,9 +200,9 @@ func readSegHeader(path string, schema *relation.Schema) (*segHeader, int64, err
 	if !sameSchema(hdr.Schema, schemaMeta(schema)) {
 		return nil, 0, fmt.Errorf("segment header: %w: schema mismatch", ErrCorrupt)
 	}
-	if len(hdr.Pages) != schema.Len() || len(hdr.Zones) != schema.Len() {
-		return nil, 0, fmt.Errorf("segment header: %w: %d pages, %d zones, schema has %d attrs",
-			ErrCorrupt, len(hdr.Pages), len(hdr.Zones), schema.Len())
+	if len(hdr.Pages) != schema.Len() {
+		return nil, 0, fmt.Errorf("segment header: %w: %d pages, schema has %d attrs",
+			ErrCorrupt, len(hdr.Pages), schema.Len())
 	}
 	return &hdr, r.n, nil
 }

@@ -56,10 +56,15 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	return SyncBatch, fmt.Errorf("durable: unknown sync policy %q (want always|batch|none)", s)
 }
 
+// DefaultSegmentRows is the spill size when Options.SegmentRows is 0: the
+// buffered tail spills to a segment file every 4096 rows. 4096 rows × 8
+// bytes is one 32 KiB column page per numeric attribute.
+const DefaultSegmentRows = 4096
+
 // Options configures Create/Open.
 type Options struct {
 	// SegmentRows is the sealed-segment span (Create only; Open takes it
-	// from the manifest). 0 means relation.DefaultSegmentRows.
+	// from the manifest). 0 means DefaultSegmentRows.
 	SegmentRows int
 	// Sync is the WAL durability policy.
 	Sync SyncPolicy
@@ -68,11 +73,6 @@ type Options struct {
 	// ReadOnly opens without tail repair, WAL rotation, garbage sweeping,
 	// or append support — safe on a directory another process owns.
 	ReadOnly bool
-	// Track mirrors every Append into this relation and lets the
-	// relation's own seal events drive segment spilling (Create only; the
-	// relation must be empty). The tracked relation must only be appended
-	// through the store, or rows would exist that the WAL never saw.
-	Track *relation.Relation
 }
 
 // Quarantine records one segment excluded from service: its manifest span
@@ -85,10 +85,10 @@ type Quarantine struct {
 	Reason string `json:"reason"`
 }
 
-// diskSegment is one manifest-listed segment file plus its lazily-loaded
-// state. The header (zone maps, page directory) loads on first touch —
-// eagerly at Open — and individual column pages load, checksum-verified, on
-// first map-in by Relation().
+// diskSegment is one manifest-listed segment file plus its header state.
+// The header (span, schema, page directory) loads and verifies at Open;
+// column pages are read, checksum-verified, by every Relation() call and
+// kept by none.
 type diskSegment struct {
 	meta segMeta
 
@@ -97,8 +97,6 @@ type diskSegment struct {
 	hdr *segHeader
 	//lint:guardedby mu
 	hdrEnd int64
-	//lint:guardedby mu
-	cols []*segColumn // by attribute index; nil until loaded
 	//lint:guardedby mu
 	bad bool
 	//lint:guardedby mu
@@ -122,21 +120,13 @@ type Store struct {
 	//lint:guardedby mu
 	segs []*diskSegment
 	//lint:guardedby mu
-	tail []relation.Tuple // untracked mode; tracked mode reads rel
-	rel  *relation.Relation
+	tail []relation.Tuple
 	//lint:guardedby mu
 	wal *walWriter
 	//lint:guardedby mu
 	closed bool
 	//lint:guardedby mu
 	failed bool
-	// sealCtx/sealErr thread the Append context and any spill failure
-	// through the tracked relation's seal hook, whose signature cannot
-	// carry them. Only touched with mu held, by the appending goroutine.
-	//lint:guardedby mu
-	sealCtx context.Context
-	//lint:guardedby mu
-	sealErr error
 
 	quarMu sync.Mutex
 	//lint:guardedby quarMu
@@ -155,7 +145,7 @@ type Store struct {
 
 func (o *Options) normalize() {
 	if o.SegmentRows <= 0 {
-		o.SegmentRows = relation.DefaultSegmentRows
+		o.SegmentRows = DefaultSegmentRows
 	}
 	if o.SyncEvery <= 0 {
 		o.SyncEvery = 256
@@ -176,21 +166,6 @@ func Create(dir string, schema *relation.Schema, opts Options) (*Store, error) {
 		return nil, fmt.Errorf("durable: %s already holds a store; use Open", dir)
 	}
 	s := &Store{dir: dir, schema: schema, opts: opts, gen: 1, segRows: opts.SegmentRows}
-	if opts.Track != nil {
-		if opts.Track.Len() != 0 {
-			return nil, fmt.Errorf("durable: tracked relation already has %d rows", opts.Track.Len())
-		}
-		if opts.Track.Schema() != schema {
-			return nil, fmt.Errorf("durable: tracked relation schema differs from store schema")
-		}
-		if err := opts.Track.SetSegmentRows(opts.SegmentRows); err != nil {
-			return nil, err
-		}
-		s.rel = opts.Track
-		if err := s.rel.SetSealHook(s.onSeal); err != nil {
-			return nil, err
-		}
-	}
 	ctx := context.Background()
 	wal, err := s.createWAL(ctx, s.gen, 0)
 	if err != nil {
@@ -230,9 +205,6 @@ func (s *Store) manifestLocked() *manifest {
 // truncation, so the chaos suite can crash recovery itself.
 func Open(dir string, opts Options) (*Store, error) {
 	opts.normalize()
-	if opts.Track != nil {
-		return nil, fmt.Errorf("durable: Track is a Create option; materialize an opened store with Relation()")
-	}
 	m, err := readManifest(dir)
 	if err != nil {
 		return nil, err
@@ -257,8 +229,8 @@ func Open(dir string, opts Options) (*Store, error) {
 			s.quarantine(seg, fmt.Sprintf("segment file is %d bytes, manifest recorded %d", fi.Size(), sm.Bytes))
 			continue
 		}
-		// Header (zone maps, page directory) verifies now; column pages
-		// verify lazily on first map-in.
+		// Header (span, schema, page directory) verifies now; column pages
+		// verify as Relation() reads them.
 		if _, err := s.ensureHeader(seg); err != nil {
 			continue // quarantined inside
 		}
@@ -395,28 +367,23 @@ func (s *Store) ensureHeaderLocked(seg *diskSegment) error {
 		return err
 	}
 	seg.hdr, seg.hdrEnd = hdr, hdrEnd
-	seg.cols = make([]*segColumn, s.schema.Len())
 	return nil
 }
 
-// ensureColumn maps in one column page, verifying its checksum on first
-// touch. A bad page quarantines the whole segment — its other pages are no
-// longer trusted either.
-func (s *Store) ensureColumn(seg *diskSegment, attr int) (*segColumn, error) {
+// readColumn reads one column page and verifies its checksum; the caller
+// owns the result and nothing keeps it. A bad page quarantines the whole
+// segment — its other pages are no longer trusted either.
+func (s *Store) readColumn(seg *diskSegment, attr int) (*segColumn, error) {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if err := s.ensureHeaderLocked(seg); err != nil {
 		return nil, err
-	}
-	if c := seg.cols[attr]; c != nil {
-		return c, nil
 	}
 	c, err := readSegColumn(filepath.Join(s.dir, seg.meta.File), seg.hdr, seg.hdrEnd, attr, s.schema)
 	if err != nil {
 		s.quarantine(seg, err.Error())
 		return nil, err
 	}
-	seg.cols[attr] = c
 	s.colLoads.Add(1)
 	s.loadedBytes.Add(c.bytes())
 	return c, nil
@@ -456,23 +423,6 @@ func (s *Store) AppendContext(ctx context.Context, t relation.Tuple) error {
 		s.failed = true
 		return err
 	}
-	if s.rel != nil {
-		// Tracked mode: the relation's seal hook (onSeal) fires inside
-		// this call at segment boundaries and runs the spill under the
-		// mutex we already hold.
-		s.sealCtx = ctx
-		err := s.rel.Append(t)
-		s.sealCtx = nil
-		if err == nil {
-			err = s.sealErr
-			s.sealErr = nil
-		}
-		if err != nil {
-			s.failed = true
-			return err
-		}
-		return nil
-	}
 	s.tail = append(s.tail, t)
 	if err := s.sealFullLocked(ctx); err != nil {
 		s.failed = true
@@ -481,32 +431,11 @@ func (s *Store) AppendContext(ctx context.Context, t relation.Tuple) error {
 	return nil
 }
 
-// onSeal is the tracked relation's seal hook: spill the newly sealed
-// span(s), one segment file per segRows. It runs synchronously inside
-// Store.Append (which holds s.mu), reading rows straight from the
-// relation's RCU snapshot — the relation package invokes it, so lockguard
-// cannot see the locked call site; the holds assertion records the contract.
-//
-//lint:holds mu
-func (s *Store) onSeal(lo, hi int) {
-	ctx := s.sealCtx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	for x := lo; x < hi && s.sealErr == nil; x += s.segRows {
-		if err := s.sealLocked(ctx, x, x+s.segRows, s.rel.Row); err != nil {
-			s.sealErr = err
-		}
-	}
-}
-
-// sealFullLocked spills every full segment the buffered tail covers
-// (untracked mode, and Open's interrupted-seal completion).
+// sealFullLocked spills every full segment the buffered tail covers (on
+// Append, and to finish Open's interrupted seal).
 func (s *Store) sealFullLocked(ctx context.Context) error {
 	for len(s.tail) >= s.segRows {
-		lo := s.wal.afterRows
-		span := s.tail[:s.segRows]
-		if err := s.sealLocked(ctx, lo, lo+s.segRows, func(i int) relation.Tuple { return span[i-lo] }); err != nil {
+		if err := s.sealLocked(ctx, s.wal.afterRows, s.tail[:s.segRows]); err != nil {
 			return err
 		}
 		// Reslice into a fresh array so the spilled prefix is collectable —
@@ -516,17 +445,18 @@ func (s *Store) sealFullLocked(ctx context.Context) error {
 	return nil
 }
 
-// sealLocked runs the seal sequence for span [lo, hi): spill the segment
-// file (durable before it is referenced), rotate the WAL to a fresh log
-// whose afterRows is the new sealed high-water mark, flip the manifest,
+// sealLocked runs the seal sequence for rows, the span [lo, hi): spill the
+// segment file (durable before it is referenced), rotate the WAL to a fresh
+// log whose afterRows is the new sealed high-water mark, flip the manifest,
 // and retire the old log. A crash between any two steps leaves the old
 // manifest + old WAL fully consistent; the new files are garbage until the
 // manifest names them.
-func (s *Store) sealLocked(ctx context.Context, lo, hi int, row func(i int) relation.Tuple) error {
+func (s *Store) sealLocked(ctx context.Context, lo int, rows []relation.Tuple) error {
 	if err := s.walSync(ctx, s.wal, true); err != nil {
 		return err
 	}
-	name, size, err := s.writeSegment(ctx, lo, hi, row)
+	hi := lo + len(rows)
+	name, size, err := s.writeSegment(ctx, lo, rows)
 	if err != nil {
 		return err
 	}
@@ -600,8 +530,9 @@ func (s *Store) Abandon() {
 	}
 }
 
-// SealedRows returns the rows covered by manifest-listed segments
-// (quarantined or not); TailRows the replayed/buffered rows beyond them.
+// SealedRows returns the rows covered by manifest-listed segments,
+// quarantined or not. Stats().TailRows counts the replayed or buffered rows
+// beyond them.
 func (s *Store) SealedRows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -625,34 +556,23 @@ func (s *Store) Quarantined() []Quarantine {
 	return append([]Quarantine(nil), s.quar...)
 }
 
-// snapshot returns the segment list, tail, and segment size under the
-// mutex; page I/O happens outside it.
-func (s *Store) snapshot() (segs []*diskSegment, tail []relation.Tuple, segRows int) {
+// snapshot returns the segment list and tail under the mutex; page I/O
+// happens outside it.
+func (s *Store) snapshot() (segs []*diskSegment, tail []relation.Tuple) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	segRows = s.segRows
 	segs = append(segs, s.segs...)
-	if s.rel != nil {
-		n := s.rel.Len()
-		for i := s.wal.afterRows; i < n; i++ {
-			tail = append(tail, s.rel.Row(i))
-		}
-		return segs, tail, segRows
-	}
-	return segs, s.tail[:len(s.tail):len(s.tail)], segRows
+	return segs, s.tail[:len(s.tail):len(s.tail)]
 }
 
 // Relation materializes the surviving rows — every non-quarantined sealed
-// segment in span order, then the tail — into a fresh relation configured
-// with the store's segment size. Column pages checksum-verify as they are
-// read; a segment failing here is quarantined and skipped, so the result
-// is always the best currently-servable view.
+// segment in span order, then the tail — into a fresh relation. Column
+// pages are read from disk and checksum-verified on every call, and none is
+// kept once its rows are copied; a segment failing here is quarantined and
+// skipped, so the result is always the best currently-servable view.
 func (s *Store) Relation(name string) (*relation.Relation, error) {
-	segs, tail, segRows := s.snapshot()
+	segs, tail := s.snapshot()
 	rel := relation.New(name, s.schema)
-	if err := rel.SetSegmentRows(segRows); err != nil {
-		return nil, err
-	}
 	total := 0
 	for _, seg := range segs {
 		total += seg.meta.Hi - seg.meta.Lo
@@ -673,13 +593,13 @@ func (s *Store) Relation(name string) (*relation.Relation, error) {
 	return rel, nil
 }
 
-// segmentTuples loads every column of seg and reassembles its tuples.
+// segmentTuples reads every column of seg and reassembles its tuples.
 // ok=false means the segment is (now) quarantined.
 func (s *Store) segmentTuples(seg *diskSegment) ([]relation.Tuple, bool) {
 	n := s.schema.Len()
 	cols := make([]*segColumn, n)
 	for a := 0; a < n; a++ {
-		c, err := s.ensureColumn(seg, a)
+		c, err := s.readColumn(seg, a)
 		if err != nil {
 			return nil, false
 		}
@@ -729,19 +649,12 @@ type Stats struct {
 // Stats returns a point-in-time durability snapshot.
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
-	tailRows := len(s.tail)
-	if s.rel != nil {
-		tailRows = s.rel.Len() - s.wal.afterRows
-		if tailRows < 0 {
-			tailRows = 0
-		}
-	}
 	st := Stats{
 		Generation:        s.gen,
 		SegmentRows:       s.segRows,
 		Segments:          len(s.segs),
 		SealedRows:        s.wal.afterRows,
-		TailRows:          tailRows,
+		TailRows:          len(s.tail),
 		SyncPolicy:        s.opts.Sync.String(),
 		ReadOnly:          s.opts.ReadOnly,
 		RecoveredTailRows: s.recoveredRows,

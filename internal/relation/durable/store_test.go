@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -28,7 +29,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	mem := memRelation(t, n, segRows)
+	mem := memRelation(t, n)
 	assertStoreMatches(t, st2, mem, true)
 
 	stats := st2.Stats()
@@ -49,68 +50,98 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTrackedIngestMatchesUntracked pins that the relation-hook-driven
-// spill (Create with Track) and the buffered-tail spill (untracked) produce
-// byte-identical segment files and manifests — the on-disk format is a pure
-// function of the row sequence.
-func TestTrackedIngestMatchesUntracked(t *testing.T) {
-	const n, segRows = 530, 32
-	dirA, dirB := t.TempDir(), t.TempDir()
-
-	stA, err := Create(dirA, testSchema(), Options{SegmentRows: segRows})
+// TestOpenZonesFormatStore opens a store written before zone maps were
+// deleted (testdata/dseg1-zones, written at commit 137b07d by Create with
+// SegmentRows 16, ingest of testTuple rows 0-54, and Close: three 16-row
+// segments whose headers carry a "zones" array, and a 7-row WAL tail)
+// read-only and writable. Every row must read back as testTuple, each
+// Relation() call must re-read and count the pages, and a writable open
+// must go on appending and sealing segments, without zones, next to the old
+// ones.
+func TestOpenZonesFormatStore(t *testing.T) {
+	const n, segRows = 55, 16
+	dir := t.TempDir()
+	ents, err := os.ReadDir("testdata/dseg1-zones")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ingest(stA, 0, n); err != nil {
-		t.Fatal(err)
-	}
-	if err := stA.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	schema := testSchema()
-	rel := relation.New("ListProperty", schema)
-	stB, err := Create(dirB, schema, Options{SegmentRows: segRows, Track: rel})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ingest(stB, 0, n); err != nil {
-		t.Fatal(err)
-	}
-	if rel.Len() != n {
-		t.Fatalf("tracked relation has %d rows, want %d", rel.Len(), n)
-	}
-	if ss := rel.StorageStats(); ss.SealedRows != (n/segRows)*segRows {
-		t.Fatalf("tracked relation sealed %d rows, want %d", ss.SealedRows, (n/segRows)*segRows)
-	}
-	if err := stB.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	entsA, err := os.ReadDir(dirA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entsA {
-		a, err := os.ReadFile(filepath.Join(dirA, e.Name()))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join("testdata/dseg1-zones", e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(dirB, e.Name()))
-		if err != nil {
-			t.Fatalf("tracked ingest did not produce %s: %v", e.Name(), err)
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if string(a) != string(b) {
-			t.Errorf("%s differs between tracked and untracked ingest", e.Name())
+	}
+	oldSeg, err := os.ReadFile(filepath.Join(dir, segFileName(0, segRows)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(oldSeg, []byte(`"zones"`)) {
+		t.Fatal("fixture segment header carries no zones")
+	}
+	check := func(st *Store, want int) {
+		t.Helper()
+		rel, err := st.Relation("ListProperty")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Len() != want {
+			t.Fatalf("relation has %d rows, want %d", rel.Len(), want)
+		}
+		for i := 0; i < want; i++ {
+			if !sameTuple(rel.Row(i), testTuple(i)) {
+				t.Fatalf("row %d: got %v, want %v", i, rel.Row(i), testTuple(i))
+			}
+		}
+		if st.Degraded() {
+			t.Fatalf("store degraded: %+v", st.Quarantined())
 		}
 	}
 
-	st2, err := Open(dirB, Options{})
+	ro, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(ro, n)
+	loaded := ro.Stats().LoadedBytes
+	if loaded == 0 {
+		t.Fatal("Relation() read no page bytes")
+	}
+	check(ro, n)
+	if st := ro.Stats(); st.LoadedBytes != 2*loaded || st.Segments != 3 || st.TailRows != n-3*segRows {
+		t.Fatalf("read-only stats after two Relation() calls: %+v, want loadedBytes %d", st, 2*loaded)
+	}
+	ro.Close()
+
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(st, n)
+	if _, err := ingest(st, n, 70); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	newSeg, err := os.ReadFile(filepath.Join(dir, segFileName(3*segRows, 4*segRows)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(newSeg, []byte(`"zones"`)) {
+		t.Fatal("new segment header still carries zones")
+	}
+	st2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	assertStoreMatches(t, st2, memRelation(t, n, segRows), false)
+	check(st2, 70)
+	if got := st2.Stats().Segments; got != 4 {
+		t.Fatalf("segments = %d, want 4", got)
+	}
 }
 
 func TestSyncPolicies(t *testing.T) {
@@ -134,7 +165,7 @@ func TestSyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer st2.Close()
-			assertStoreMatches(t, st2, memRelation(t, n, segRows), false)
+			assertStoreMatches(t, st2, memRelation(t, n), false)
 		})
 	}
 }
@@ -179,7 +210,7 @@ func TestReopenAndContinueAppending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st3.Close()
-	assertStoreMatches(t, st3, memRelation(t, 100, segRows), true)
+	assertStoreMatches(t, st3, memRelation(t, 100), true)
 }
 
 func TestReadOnlyOpen(t *testing.T) {
@@ -213,7 +244,7 @@ func TestReadOnlyOpen(t *testing.T) {
 	if err := st2.Append(testTuple(0)); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("read-only append: err = %v", err)
 	}
-	assertStoreMatches(t, st2, memRelation(t, 49, segRows), false)
+	assertStoreMatches(t, st2, memRelation(t, 49), false)
 	if !st2.Stats().RecoveredTorn {
 		t.Error("torn tail not reported")
 	}

@@ -38,11 +38,11 @@ func FuzzReadCSV(f *testing.F) {
 }
 
 // FuzzVectorizedSelect is the vectorized engine's equivalence fuzz: random
-// schemas, random data (NaN, ±0, ±Inf included), random segment sizes, and
-// random conjunct sets (empty IN lists, unknown attributes, type
-// mismatches, NaN bounds) — the vectorized Select must return exactly the
-// same row ids as the naive row-wise scan, cold and warm, and across mid-run
-// appends that seal segments and force conjunct/projection extension.
+// schemas, random data (NaN, ±0, ±Inf included), and random conjunct sets
+// (empty IN lists, unknown attributes, type mismatches, NaN bounds) — the
+// vectorized Select must return exactly the same row ids as the naive
+// row-wise scan, cold and warm, and across mid-run appends that force
+// conjunct/projection extension.
 //
 // The trailing bool argument is unused: it keeps the checked-in corpus
 // entries, which carry four values, loadable.
@@ -53,11 +53,10 @@ func FuzzVectorizedSelect(f *testing.F) {
 	f.Add(int64(-9), uint8(2), uint8(130), false)
 	f.Fuzz(func(t *testing.T, seed int64, nAttrs, nRows uint8, _ bool) {
 		rng := rand.New(rand.NewSource(seed))
-		// Segment size and mid-run appends draw from their own stream so the
-		// main stream — and everything the checked-in corpus generates from
-		// it — is untouched.
-		segRng := rand.New(rand.NewSource(seed ^ 0x5e95e9))
-		segSizes := []int{1, 2, 63, 64, 100, DefaultSegmentRows}
+		// Mid-run appends draw from their own stream so the main stream —
+		// and everything the checked-in corpus generates from it — is
+		// untouched.
+		appendRng := rand.New(rand.NewSource(seed ^ 0x5e95e9))
 		attrs := make([]Attribute, 1+int(nAttrs)%4)
 		names := []string{"Alpha", "beta", "GAMMA", "dElTa"}
 		for i := range attrs {
@@ -68,9 +67,6 @@ func FuzzVectorizedSelect(f *testing.F) {
 			attrs[i] = Attribute{Name: names[i], Type: typ}
 		}
 		r := New("fuzz", MustSchema(attrs...))
-		if err := r.SetSegmentRows(segSizes[segRng.Intn(len(segSizes))]); err != nil {
-			t.Fatal(err)
-		}
 		catPalette := []string{"", "a", "b", "cc", "d'd", "Ee"}
 		numPalette := []float64{0, math.Copysign(0, -1), 1, -1, 2.5, 1e9, -1e9,
 			math.NaN(), math.Inf(1), math.Inf(-1), 41.99999999999999, 42}
@@ -91,12 +87,11 @@ func FuzzVectorizedSelect(f *testing.F) {
 		attrPool := append([]string{}, names[:len(attrs)]...)
 		attrPool = append(attrPool, "missing")
 		for trial := 0; trial < 10; trial++ {
-			if trial > 0 && segRng.Intn(3) == 0 {
+			if trial > 0 && appendRng.Intn(3) == 0 {
 				// Mid-run appends: cached conjunct bitmaps and projections
-				// built by earlier trials must extend, and may cross a seal
-				// boundary.
-				for k := segRng.Intn(3) + 1; k > 0; k-- {
-					r.MustAppend(randTuple(segRng))
+				// built by earlier trials must extend.
+				for k := appendRng.Intn(3) + 1; k > 0; k-- {
+					r.MustAppend(randTuple(appendRng))
 				}
 			}
 			nConj := 1 + rng.Intn(4)

@@ -147,12 +147,8 @@ type Relation struct {
 	rows atomic.Pointer[[]Tuple]
 
 	// Cached columnar projections (see column.go); maintained incrementally
-	// across Appends — sealed spans are never rebuilt.
+	// across Appends — rows already projected are never rebuilt.
 	cols columnCache
-
-	// Segmented-storage state (see segment.go): the sealed-segment list and
-	// the storage counters behind healthz's "storage" block.
-	seg segState
 
 	// Vectorized selection state (see vselect.go): the bounded
 	// conjunct-bitmap cache and the selection counters.
@@ -194,12 +190,10 @@ func (r *Relation) Row(i int) Tuple { return r.snapshot()[i] }
 // beyond the published length — invisible to holders of the old snapshot —
 // and then a new slice header is published atomically.
 //
-// Append only touches the active tail of the segmented store (segment.go):
-// it bumps the data generation and seals any segment spans the tail now
-// covers. Nothing derived is invalidated — columnar projections and cached
-// conjunct bitmaps extend over just the appended rows on their next read
-// (column.go, vselect.go), so per-row maintenance cost is independent of the
-// total row count.
+// Append only bumps the data generation. Nothing derived is invalidated —
+// columnar projections and cached conjunct bitmaps extend over just the
+// appended rows on their next read (column.go, vselect.go), so per-row
+// maintenance cost is independent of the total row count.
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation %s: tuple has %d cells, schema has %d", r.Name, len(t), r.schema.Len())
@@ -208,17 +202,7 @@ func (r *Relation) Append(t Tuple) error {
 	rows := append(r.snapshot(), t)
 	r.rows.Store(&rows)
 	r.dataGen.Add(1)
-	prevHi := r.sealedRows()
-	r.maybeSeal(len(rows))
-	newHi := r.sealedRows()
-	hook := r.seg.sealHook
 	r.mu.Unlock()
-	if hook != nil && newHi > prevHi {
-		// Outside the writer mutex: the span is already sealed and
-		// immutable, so the hook may read rows [prevHi, newHi) freely —
-		// the durable store spills them to disk from here.
-		hook(prevHi, newHi)
-	}
 	return nil
 }
 

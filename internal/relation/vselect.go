@@ -34,11 +34,6 @@ import (
 // the rows appended since (DESIGN.md §14), so append churn costs O(new
 // rows) per cached conjunct instead of a full rebuild.
 //
-// Before scanning, the builders consult the sealed segments' zone maps
-// (zonemap.go): a sealed segment whose summary proves no row can match the
-// conjunct is skipped outright, and the surviving spans are scanned with
-// word-aligned OR kernels.
-//
 // The Predicate interface is sealed (predicate.go): every predicate is an
 // And/In/Range/True tree, so this engine is the only selection path and its
 // results are exactly Predicate.Matches'.
@@ -116,18 +111,6 @@ func (r *Relation) SelectStats() SelectStats {
 // every Append, so derived artifacts (conjunct bitmaps, memoized trees) can
 // be stamped against the data they were built from.
 func (r *Relation) DataGeneration() uint64 { return r.dataGen.Load() }
-
-// dropConjuncts empties the conjunct-bitmap cache. No longer on the Append
-// path (stale entries extend instead); retained as the drop-everything
-// baseline for the segment benchmarks and invalidation tests.
-func (r *Relation) dropConjuncts() {
-	r.vsel.mu.Lock()
-	if r.vsel.ll != nil {
-		r.vsel.ll.Init()
-		clear(r.vsel.table)
-	}
-	r.vsel.mu.Unlock()
-}
 
 // vectorSelect evaluates pred through the vectorized engine, returning
 // exactly the ascending row list a row-wise Predicate.Matches scan would.
@@ -261,7 +244,7 @@ func (r *Relation) insertConjunct(e *conjEntry) {
 // seedExtension copies prev's words into bm and returns the first row the
 // build must evaluate: 0 for a cold build, prev's coverage for an
 // extension. prev's universe never exceeds bm's (rows are only appended),
-// but a racing seal makes the guard cheap insurance.
+// but a racing build makes the guard cheap insurance.
 func seedExtension(bm, prev *Bitmap) int {
 	if prev == nil || prev.n > bm.n {
 		return 0
@@ -275,8 +258,7 @@ func seedExtension(bm, prev *Bitmap) int {
 // table), then a pass over the code column tests membership in a dict-sized
 // bitset — no string hashing per row. With a prev bitmap, only rows past
 // its coverage are evaluated (a member-value verdict never changes for a
-// sealed row, and dictionary remaps renumber codes, not values). Sealed
-// segments whose zone map contains no member value are skipped.
+// stored row, and dictionary remaps renumber codes, not values).
 func (r *Relation) buildInBitmap(p *In, prev *Bitmap) *Bitmap {
 	col, err := r.CatColumn(p.Attr)
 	if err != nil {
@@ -299,33 +281,25 @@ func (r *Relation) buildInBitmap(p *In, prev *Bitmap) *Bitmap {
 	if !any {
 		return bm
 	}
-	members := p.SortedValues()
-	key := lower(p.Attr)
-	spans := r.zoneSpans(start, len(col.Codes), func(seg *segment) bool {
-		return seg.catZone(key, col).canMatchIn(members)
-	})
 	codes := col.Codes
-	for _, sp := range spans {
-		scanSpan(sp.lo, sp.hi, func(a, b int) {
-			for i := a; i < b; {
-				wi := i >> 6
-				end := min((wi+1)<<6, b)
-				var w uint64
-				for ; i < end; i++ {
-					c := codes[i]
-					w |= (memberCodes[c>>6] >> (c & 63) & 1) << (uint(i) & 63)
-				}
-				bm.words[wi] |= w
+	scanSpan(start, len(codes), func(a, b int) {
+		for i := a; i < b; {
+			wi := i >> 6
+			end := min((wi+1)<<6, b)
+			var w uint64
+			for ; i < end; i++ {
+				c := codes[i]
+				w |= (memberCodes[c>>6] >> (c & 63) & 1) << (uint(i) & 63)
 			}
-		})
-	}
+			bm.words[wi] |= w
+		}
+	})
 	return bm
 }
 
 // buildRangeBitmap evaluates a Range conjunct over the dense []float64
 // column, replicating Range.Matches' comparisons exactly (NaN values and
-// NaN bounds included) — skipping sealed segments whose min/max zone proves
-// no row can match, and, with a prev bitmap, evaluating only rows past its
+// NaN bounds included) — with a prev bitmap, evaluating only rows past its
 // coverage.
 func (r *Relation) buildRangeBitmap(p *Range, prev *Bitmap) *Bitmap {
 	col, err := r.NumColumn(p.Attr)
@@ -336,36 +310,30 @@ func (r *Relation) buildRangeBitmap(p *Range, prev *Bitmap) *Bitmap {
 	bm := NewBitmap(len(col))
 	start := seedExtension(bm, prev)
 	pLo, pHi, hiInc := p.Lo, p.Hi, p.HiInc
-	key := lower(p.Attr)
-	spans := r.zoneSpans(start, len(col), func(seg *segment) bool {
-		return seg.numZone(key, col).canMatchRange(pLo, pHi, hiInc)
-	})
-	for _, sp := range spans {
-		scanSpan(sp.lo, sp.hi, func(a, b int) {
-			for i := a; i < b; {
-				wi := i >> 6
-				end := min((wi+1)<<6, b)
-				var w uint64
-				if hiInc {
-					for ; i < end; i++ {
-						v := col[i]
-						// Exactly Range.Matches: !(v < Lo) && v <= Hi.
-						if !(v < pLo) && v <= pHi {
-							w |= 1 << (uint(i) & 63)
-						}
-					}
-				} else {
-					for ; i < end; i++ {
-						v := col[i]
-						if !(v < pLo) && v < pHi {
-							w |= 1 << (uint(i) & 63)
-						}
+	scanSpan(start, len(col), func(a, b int) {
+		for i := a; i < b; {
+			wi := i >> 6
+			end := min((wi+1)<<6, b)
+			var w uint64
+			if hiInc {
+				for ; i < end; i++ {
+					v := col[i]
+					// Exactly Range.Matches: !(v < Lo) && v <= Hi.
+					if !(v < pLo) && v <= pHi {
+						w |= 1 << (uint(i) & 63)
 					}
 				}
-				bm.words[wi] |= w
+			} else {
+				for ; i < end; i++ {
+					v := col[i]
+					if !(v < pLo) && v < pHi {
+						w |= 1 << (uint(i) & 63)
+					}
+				}
 			}
-		})
-	}
+			bm.words[wi] |= w
+		}
+	})
 	return bm
 }
 

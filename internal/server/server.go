@@ -270,9 +270,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	// Select wall time, and the conjunct-bitmap cache's
 	// hits/misses/extensions/occupancy.
 	body["select"] = sys.SelectStats()
-	// Segmented-storage counters (DESIGN.md §14): sealed segments and bytes,
-	// tail occupancy, seal count, and zone-map segments pruned vs scanned.
-	body["storage"] = sys.StorageStats()
 	// Durable-store state (DESIGN.md §15), present only for disk-backed
 	// systems: WAL/segment/fsync counters, recovery outcome, and — when
 	// recovery quarantined corrupt segments — the degraded flag plus the

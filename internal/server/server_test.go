@@ -117,53 +117,6 @@ func TestHealthzSelectStats(t *testing.T) {
 	}
 }
 
-// TestHealthzStorageStats pins the segmented-storage block (DESIGN.md §14):
-// the exact JSON key set and the row accounting sealedRows+tailRows == rows.
-func TestHealthzStorageStats(t *testing.T) {
-	hs := testServer(t)
-	resp, err := http.Get(hs.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Rows    float64                    `json:"rows"`
-		Storage map[string]json.RawMessage `json:"storage"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Storage == nil {
-		t.Fatal("healthz has no storage field")
-	}
-	want := []string{
-		"segmentRows", "segments", "sealedRows", "tailRows",
-		"sealedBytes", "seals", "zonePruned", "zoneScanned",
-	}
-	for _, k := range want {
-		if _, ok := body.Storage[k]; !ok {
-			t.Errorf("storage block missing key %q", k)
-		}
-	}
-	if len(body.Storage) != len(want) {
-		t.Errorf("storage block has %d keys, want %d: %v", len(body.Storage), len(want), body.Storage)
-	}
-	var st repro.StorageStats
-	raw, _ := json.Marshal(body.Storage)
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.SegmentRows < 1 {
-		t.Errorf("segmentRows = %d", st.SegmentRows)
-	}
-	if got := st.SealedRows + st.TailRows; got != int(body.Rows) {
-		t.Errorf("sealedRows+tailRows = %d, want rows = %v", got, body.Rows)
-	}
-	if st.Segments != st.SealedRows/st.SegmentRows {
-		t.Errorf("segments = %d, want %d", st.Segments, st.SealedRows/st.SegmentRows)
-	}
-}
-
 func TestAttributes(t *testing.T) {
 	hs := testServer(t)
 	resp, err := http.Get(hs.URL + "/v1/attributes")

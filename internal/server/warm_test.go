@@ -51,8 +51,8 @@ func TestNewWarmRequiresLearn(t *testing.T) {
 // HTTP path and pins the /healthz JSON contract for stale misses and warming:
 // the cache block's counters, including stale, and the warmer block. The
 // repair block and the cache's repaired counter went with incremental repair,
-// and the sharding block with shard-parallel categorization; all must stay
-// gone.
+// the sharding block with shard-parallel categorization, and the storage
+// block with in-memory segments; all must stay gone.
 func TestHealthzRepairAndWarmerShape(t *testing.T) {
 	srv, hs := warmTestServer(t, 4)
 
@@ -79,6 +79,9 @@ func TestHealthzRepairAndWarmerShape(t *testing.T) {
 	}
 	if _, ok := body["sharding"]; ok {
 		t.Error("healthz still has a sharding block")
+	}
+	if _, ok := body["storage"]; ok {
+		t.Error("healthz still has a storage block")
 	}
 	var cache map[string]json.RawMessage
 	if err := json.Unmarshal(body["cache"], &cache); err != nil || cache == nil {

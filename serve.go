@@ -184,15 +184,21 @@ type SelectStats = relation.SelectStats
 // reports the same counters.
 func (s *System) SelectStats() SelectStats { return s.rel.SelectStats() }
 
-// StorageStats is a point-in-time snapshot of the relation's segmented
-// columnar store: sealed-segment count and bytes, tail size, seal count,
-// and zone-map pruning counters (DESIGN.md §14).
-type StorageStats = relation.StorageStats
+// StorageStats is what remains of the zone-map pruning counters, which were
+// deleted with zone maps and in-memory segments (DESIGN.md §14). Both
+// fields are always 0.
+//
+// Deprecated: the only reader is perfbench's traced run, which derives
+// relation.zone_pruned_ratio from it. The ROADMAP item "A stage spine inside
+// the server" replaces that run's in-process replay and removes this type.
+type StorageStats struct {
+	ZonePruned, ZoneScanned uint64
+}
 
-// StorageStats returns the base relation's segment-storage counters. For an
-// AdaptiveSystem the relation is shared across snapshots, so any snapshot
-// reports the same counters.
-func (s *System) StorageStats() StorageStats { return s.rel.StorageStats() }
+// StorageStats returns the zero StorageStats.
+//
+// Deprecated: read only by perfbench's traced run; removed with StorageStats.
+func (s *System) StorageStats() StorageStats { return StorageStats{} }
 
 // ShardingStats is what remains of the shard-parallel build counters, which
 // were deleted with shard-parallel categorization (DESIGN.md §12). Both

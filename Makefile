@@ -15,7 +15,7 @@ race:
 	go test -race ./...
 
 # Vet, catlint, plus the race-checked hot packages: the categorizer building
-# over a relation that is being appended to, the relation's column caches and
+# over a relation that is being appended to, the relation's columns and
 # conjunct-bitmap cache, and the serving path (singleflight tree cache, copy-on-write workload stats,
 # bounded session table, admission limiter, fault injector).
 check: lint
@@ -80,11 +80,13 @@ crashchaos:
 
 # The categorizer/columnar benchmarks, recorded as BENCH_categorize.json
 # (testdata/bench_seed.txt holds the pre-columnar baseline for the ratios).
+# The relation's Select and Segment benchmarks have their own targets below.
 bench:
-	go test -run='^$$' -bench=. -benchmem -count=5 ./internal/category ./internal/relation \
+	{ go test -run='^$$' -bench=. -benchmem -count=5 ./internal/category ; \
+	  go test -run='^$$' -bench='^Benchmark(SortByValue|CatColumnLookup)$$' -benchmem -count=5 ./internal/relation ; } \
 		| tee bench_output.txt \
 		| go run ./cmd/benchjson -baseline testdata/bench_seed.txt \
-		  -note "columnar projections + dictionary-coded partitioning vs row-wise seed" \
+		  -note "column storage + dictionary-coded partitioning vs row-wise seed" \
 		  -o BENCH_categorize.json
 	@echo wrote BENCH_categorize.json
 
@@ -119,14 +121,13 @@ selectbench:
 	@echo wrote BENCH_select.json
 
 # The append-maintenance numbers, recorded as BENCH_segment.json: steady-state
-# per-row Append cost at growing preloads, and the append-then-read cost of
-# the incremental maintenance path against the replayed drop-everything
-# design on a preloaded 100k relation (DESIGN.md §14).
+# per-row Append cost at growing preloads, and the cost of one append plus a
+# warm, extended Select on a preloaded 100k relation (DESIGN.md §14).
 segmentbench:
 	go test -run='^$$' -bench='^BenchmarkSegment' -benchmem -count=5 ./internal/relation \
 		| tee segmentbench_output.txt \
 		| go run ./cmd/benchjson \
-		  -note "incremental columnar maintenance: per-row append cost and append-then-read vs drop-everything baseline (rows=100000, DESIGN.md §14)" \
+		  -note "incremental columnar maintenance: per-row append cost and append-then-read (rows=100000, DESIGN.md §14)" \
 		  -o BENCH_segment.json
 	@echo wrote BENCH_segment.json
 

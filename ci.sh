@@ -48,7 +48,7 @@ go test -race -count=1 -run 'TestConcurrentCategorizeAppend' ./internal/category
 
 step "append/select races under race"
 go test -race -count=1 \
-    -run 'TestConcurrentAppendSelect|TestAppendExtends|TestStaleSnapshotNeverShrinksColumns|TestSegmentedSelectEquivalence' \
+    -run 'TestConcurrentAppendSelect|TestAppendExtends|TestConcurrentNewValuesLookup|TestSegmentedSelectEquivalence' \
     ./internal/relation
 
 step "stale-miss equivalence + warmer + copy-on-write snapshots under race"

@@ -529,9 +529,9 @@ func TestCandidateAttrsNotMutated(t *testing.T) {
 }
 
 // TestConcurrentCategorizeAppend races categorization builds against row
-// appends — and therefore incremental projection extension — on a shared
-// relation; run under -race (ci.sh's concurrent categorize/append step
-// does). The RCU row store guarantees each build sees a consistent
+// appends — and therefore column writes past the published count — on a
+// shared relation; run under -race (ci.sh's concurrent categorize/append
+// step does). The RCU column store guarantees each build sees a consistent
 // snapshot: row indices drawn from an older snapshot stay valid because
 // rows only append. The relation is the one a durable store serves: its
 // rows go through a store whose segment span is 1 (every row its own

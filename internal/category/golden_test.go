@@ -1,13 +1,16 @@
 package category
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
+	"repro/internal/relation"
 	"repro/internal/sqlparse"
 )
 
@@ -56,8 +59,15 @@ func flattenTree(name string, tree *Tree) goldenTree {
 // goldenScenarios builds every pinned tree. All inputs are deterministic.
 func goldenScenarios(t *testing.T) []goldenTree {
 	t.Helper()
+	return goldenScenariosOver(t, func(r *relation.Relation) *relation.Relation { return r })
+}
+
+// goldenScenariosOver builds every pinned tree over load(r) for each
+// scenario relation r, so the same rows can be served from other storage.
+func goldenScenariosOver(t *testing.T, load func(*relation.Relation) *relation.Relation) []goldenTree {
+	t.Helper()
 	stats := testStats(t)
-	r := testRelation(600)
+	r := load(testRelation(600))
 	attrs := []string{"neighborhood", "price", "bedrooms", "propertytype"}
 
 	mustTree := func(name string, tree *Tree, err error) goldenTree {
@@ -103,7 +113,7 @@ func goldenScenarios(t *testing.T) []goldenTree {
 
 	corrStats, corrIdx := corrWorkload(t)
 	tree, err = (&Categorizer{Stats: corrStats, Corr: corrIdx,
-		Opts: Options{M: 10, X: 0.1, MaxBuckets: 2, MinBucket: 1, MinCondSupport: 5}}).Categorize(corrRelation(), nil)
+		Opts: Options{M: 10, X: 0.1, MaxBuckets: 2, MinBucket: 1, MinCondSupport: 5}}).Categorize(load(corrRelation()), nil)
 	out = append(out, mustTree("costbased-corr", tree, err))
 
 	return out
@@ -194,6 +204,68 @@ func compareGolden(t *testing.T, want, got goldenTree) {
 			}
 		}
 	}
+}
+
+// TestGoldenTreesAcrossStorage runs the golden scenarios over relations
+// that code the same values differently: the heap relation (codes in first
+// appearance order) and the same rows reloaded through a durable store at
+// two segment spans, where each segment's sorted page dictionary is
+// translated in turn — three different code orders. Trees and Select
+// results must be byte-identical.
+func TestGoldenTreesAcrossStorage(t *testing.T) {
+	want, err := json.Marshal(goldenScenarios(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	heap := testRelation(600)
+	var preds []relation.Predicate
+	for _, attr := range []string{"neighborhood", "propertytype"} {
+		col, err := heap.CatColumn(attr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range col.Dict {
+			preds = append(preds, relation.NewIn(attr, v))
+		}
+		preds = append(preds, relation.NewIn(attr, col.Dict[1:]...))
+	}
+	preds = append(preds,
+		relation.NewRange("price", 220000, 260000),
+		relation.NewAnd(relation.NewIn("neighborhood", "Seattle, WA", "Kirkland, WA"), relation.NewClosedRange("bedrooms", 2, 4)))
+	orders := [][]string{mustCat(t, heap).Dict}
+	for _, segRows := range []int{4, 64} {
+		got, err := json.Marshal(goldenScenariosOver(t, func(r *relation.Relation) *relation.Relation {
+			return durableRelation(t, r, segRows)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("segRows=%d: trees over the reloaded relation differ from the heap relation's", segRows)
+		}
+		paged := durableRelation(t, heap, segRows)
+		dict := mustCat(t, paged).Dict
+		for _, o := range orders {
+			if slices.Equal(o, dict) {
+				t.Fatalf("segRows=%d codes neighborhoods as %v, like another relation; the test needs three code orders", segRows, dict)
+			}
+		}
+		orders = append(orders, dict)
+		for _, p := range preds {
+			if a, b := heap.Select(p), paged.Select(p); !slices.Equal(a, b) {
+				t.Errorf("segRows=%d: Select(%s) = %v, heap relation gives %v", segRows, p, b, a)
+			}
+		}
+	}
+}
+
+func mustCat(t *testing.T, r *relation.Relation) *relation.CatColumn {
+	t.Helper()
+	col, err := r.CatColumn("neighborhood")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return col
 }
 
 func closeTo(a, b float64) bool {

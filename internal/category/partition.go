@@ -108,7 +108,7 @@ func (lc *levelContext) resetLevel() {
 
 // sortedProjection returns the cached value-sorted permutation of n's
 // tuple-set for the numeric attribute at schema position pos (col is that
-// attribute's columnar projection), computing and caching it on first use:
+// attribute's column), computing and caching it on first use:
 // each (node, attribute) pair is sorted at most once per level.
 func (lc *levelContext) sortedProjection(n *Node, pos int, col []float64) *sortedProj {
 	key := permKey{n, pos}
@@ -117,7 +117,7 @@ func (lc *levelContext) sortedProjection(n *Node, pos int, col []float64) *sorte
 	}
 	// The browsing-mode root categorizes the whole relation in row order;
 	// its sort is identical on every request, so serve it from the
-	// relation's cached full-table projection instead of re-sorting.
+	// relation's cached full-table sort instead of re-sorting.
 	if len(n.Tset) == lc.r.Len() && isIdentity(n.Tset) {
 		attr := lc.r.Schema().Attr(pos).Name
 		// The length check covers an Append racing the build: the cached

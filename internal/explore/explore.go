@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"repro/internal/category"
+	"repro/internal/relation"
 	"repro/internal/sqlparse"
 )
 
@@ -193,19 +194,19 @@ type Explorer struct {
 // until she has seen every relevant tuple reachable through categories she
 // considers interesting.
 func (e *Explorer) All(tree *category.Tree, in *Intent) Outcome {
-	out := Outcome{RelevantTotal: e.relevantTotal(tree, in)}
-	e.exploreAll(tree, tree.Root, in, &out)
+	rel := relevant(tree, in)
+	out := Outcome{RelevantTotal: countIn(tree.Root, rel)}
+	e.exploreAll(tree.Root, in, rel, &out)
 	return out
 }
 
-func (e *Explorer) exploreAll(tree *category.Tree, n *category.Node, in *Intent, out *Outcome) {
+func (e *Explorer) exploreAll(n *category.Node, in *Intent, rel *relation.Bitmap, out *Outcome) {
 	if n.IsLeaf() || !in.wantsShowCat(n.SubAttr) {
 		// SHOWTUPLES: examine every tuple in tset(C). With fatigue, a
 		// relevant tuple in a long list may be overlooked.
 		out.TuplesExamined += n.Size()
-		pred := in.Query.Predicate()
 		for _, i := range n.Tset {
-			if pred.Matches(tree.R.Schema(), tree.R.Row(i)) && in.recognizes(n.Size()) {
+			if rel.Get(i) && in.recognizes(n.Size()) {
 				out.RelevantFound++
 			}
 		}
@@ -216,7 +217,7 @@ func (e *Explorer) exploreAll(tree *category.Tree, n *category.Node, in *Intent,
 	for _, c := range n.Children {
 		if in.interestedIn(c.Label) {
 			out.CategoriesExplored++
-			e.exploreAll(tree, c, in, out)
+			e.exploreAll(c, in, rel, out)
 		}
 	}
 }
@@ -227,19 +228,19 @@ func (e *Explorer) exploreAll(tree *category.Tree, n *category.Node, in *Intent,
 // user resume scanning sibling labels when a drill-down comes up empty,
 // which is how the treeview study subjects behaved.
 func (e *Explorer) One(tree *category.Tree, in *Intent) Outcome {
-	out := Outcome{RelevantTotal: e.relevantTotal(tree, in)}
-	e.exploreOne(tree, tree.Root, in, &out)
+	rel := relevant(tree, in)
+	out := Outcome{RelevantTotal: countIn(tree.Root, rel)}
+	e.exploreOne(tree.Root, in, rel, &out)
 	return out
 }
 
-func (e *Explorer) exploreOne(tree *category.Tree, n *category.Node, in *Intent, out *Outcome) {
+func (e *Explorer) exploreOne(n *category.Node, in *Intent, rel *relation.Bitmap, out *Outcome) {
 	if n.IsLeaf() || !in.wantsShowCat(n.SubAttr) {
 		// SHOWTUPLES: scan from the beginning until the first recognized
 		// relevant tuple.
-		pred := in.Query.Predicate()
 		for _, i := range n.Tset {
 			out.TuplesExamined++
-			if pred.Matches(tree.R.Schema(), tree.R.Row(i)) && in.recognizes(n.Size()) {
+			if rel.Get(i) && in.recognizes(n.Size()) {
 				out.RelevantFound++
 				out.Found = true
 				return
@@ -251,7 +252,7 @@ func (e *Explorer) exploreOne(tree *category.Tree, n *category.Node, in *Intent,
 		out.LabelsExamined++
 		if in.interestedIn(c.Label) {
 			out.CategoriesExplored++
-			e.exploreOne(tree, c, in, out)
+			e.exploreOne(c, in, rel, out)
 			if out.Found {
 				return // found the one tuple; stop reading labels
 			}
@@ -268,19 +269,19 @@ func (e *Explorer) Few(tree *category.Tree, in *Intent, k int) Outcome {
 	if k < 1 {
 		k = 1
 	}
-	out := Outcome{RelevantTotal: e.relevantTotal(tree, in)}
-	e.exploreFew(tree, tree.Root, in, k, &out)
+	rel := relevant(tree, in)
+	out := Outcome{RelevantTotal: countIn(tree.Root, rel)}
+	e.exploreFew(tree.Root, in, rel, k, &out)
 	out.Found = out.RelevantFound > 0
 	return out
 }
 
-func (e *Explorer) exploreFew(tree *category.Tree, n *category.Node, in *Intent, k int, out *Outcome) {
+func (e *Explorer) exploreFew(n *category.Node, in *Intent, rel *relation.Bitmap, k int, out *Outcome) {
 	if n.IsLeaf() || !in.wantsShowCat(n.SubAttr) {
 		// SHOWTUPLES: scan until the k-th relevant tuple overall.
-		pred := in.Query.Predicate()
 		for _, i := range n.Tset {
 			out.TuplesExamined++
-			if pred.Matches(tree.R.Schema(), tree.R.Row(i)) && in.recognizes(n.Size()) {
+			if rel.Get(i) && in.recognizes(n.Size()) {
 				out.RelevantFound++
 				if out.RelevantFound >= k {
 					return
@@ -293,7 +294,7 @@ func (e *Explorer) exploreFew(tree *category.Tree, n *category.Node, in *Intent,
 		out.LabelsExamined++
 		if in.interestedIn(c.Label) {
 			out.CategoriesExplored++
-			e.exploreFew(tree, c, in, k, out)
+			e.exploreFew(c, in, rel, k, out)
 			if out.RelevantFound >= k {
 				return
 			}
@@ -301,27 +302,33 @@ func (e *Explorer) exploreFew(tree *category.Tree, n *category.Node, in *Intent,
 	}
 }
 
-// countRelevant counts tuples in tset(n) satisfying the intent.
-func (e *Explorer) countRelevant(tree *category.Tree, n *category.Node, in *Intent) int {
-	pred := in.Query.Predicate()
+// relevant evaluates the intent's query once over the tree's relation: the
+// result holds exactly the rows Query.Predicate() matches, so a scan tests
+// each tuple's relevance with one bit.
+func relevant(tree *category.Tree, in *Intent) *relation.Bitmap {
+	rows := tree.R.Select(in.Query.Predicate())
+	bm := relation.NewBitmap(tree.R.Len())
+	for _, i := range rows {
+		bm.Set(i)
+	}
+	return bm
+}
+
+// countIn counts the relevant tuples in tset(n).
+func countIn(n *category.Node, rel *relation.Bitmap) int {
 	count := 0
 	for _, i := range n.Tset {
-		if pred.Matches(tree.R.Schema(), tree.R.Row(i)) {
+		if rel.Get(i) {
 			count++
 		}
 	}
 	return count
 }
 
-func (e *Explorer) relevantTotal(tree *category.Tree, in *Intent) int {
-	return e.countRelevant(tree, tree.Root, in)
-}
-
 // FlatAll is the "No categorization" baseline for the ALL scenario: the user
 // scans the entire result set.
 func FlatAll(tree *category.Tree, in *Intent) Outcome {
-	e := &Explorer{}
-	total := e.relevantTotal(tree, in)
+	total := countIn(tree.Root, relevant(tree, in))
 	return Outcome{
 		TuplesExamined: tree.Root.Size(),
 		RelevantFound:  total,
@@ -332,12 +339,11 @@ func FlatAll(tree *category.Tree, in *Intent) Outcome {
 // FlatOne is the "No categorization" baseline for the ONE scenario: the user
 // scans the result set from the top until the first relevant tuple.
 func FlatOne(tree *category.Tree, in *Intent) Outcome {
-	e := &Explorer{}
-	out := Outcome{RelevantTotal: e.relevantTotal(tree, in)}
-	pred := in.Query.Predicate()
+	rel := relevant(tree, in)
+	out := Outcome{RelevantTotal: countIn(tree.Root, rel)}
 	for _, i := range tree.Root.Tset {
 		out.TuplesExamined++
-		if pred.Matches(tree.R.Schema(), tree.R.Row(i)) {
+		if rel.Get(i) {
 			out.RelevantFound++
 			out.Found = true
 			break

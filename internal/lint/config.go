@@ -54,12 +54,12 @@ type Config struct {
 	SnapshotTypes []string
 
 	// SegPkgs are the packages allowed to write segment column pages in
-	// place (internal/relation, whose extension paths write only into
+	// place (internal/relation, whose append paths write only into
 	// unpublished spare capacity under the relation mutex). SegFields lists
 	// the shared page-carrying fields ("Type.Field") segguard bans writing,
-	// appending to, or copying into anywhere else — a projection's
-	// Codes/Dict backing is shared by every published column snapshot and
-	// conjunct bitmap built over it (DESIGN.md §14). Reads stay free.
+	// appending to, or copying into anywhere else — a column's Codes/Dict
+	// backing is shared by every published column snapshot and conjunct
+	// bitmap built over it (DESIGN.md §14). Reads stay free.
 	SegPkgs   []string
 	SegFields []string
 

@@ -6,12 +6,12 @@ import (
 )
 
 // checkSegGuard guards the column-snapshot immutability boundary (PR8): the
-// column pages of a published projection — the dictionary-code and
-// dictionary slices behind CatColumn — are shared by every published
-// snapshot and conjunct bitmap that was built over them. Inside
-// internal/relation the extension paths write only into unpublished spare
-// capacity under the relation mutex; anywhere else, a write, append, or
-// copy through those fields tears concurrent readers. segguard flags the
+// relation's column storage — the dictionary-code and dictionary slices
+// behind CatColumn — is shared by every published snapshot and conjunct
+// bitmap that was built over it. Inside internal/relation the append paths
+// write only into unpublished spare capacity under the relation mutex;
+// anywhere else, a write, append, or copy through those fields tears
+// concurrent readers. segguard flags the
 // mutating uses (reads are the normal case and stay unrestricted).
 var checkSegGuard = &Check{
 	Name: "segguard",

@@ -14,9 +14,10 @@ import (
 // of §2.
 func RankTree(r *Ranker, tree *category.Tree) {
 	// Score each distinct tuple once; nodes share tuples with ancestors.
+	cols := r.columns(tree.R)
 	scores := make(map[int]float64, len(tree.Root.Tset))
 	for _, row := range tree.Root.Tset {
-		scores[row] = r.Score(tree.R, row)
+		scores[row] = cols.score(row)
 	}
 	tree.Root.Walk(func(n *category.Node, _ int) bool {
 		sortByScore(n.Tset, scores)

@@ -24,19 +24,16 @@ import (
 type Ranker struct {
 	stats *workload.Stats
 	// attrs lists the schema attributes that the workload ever filters on,
-	// with their positions and type; others contribute nothing to scores.
+	// with their types; others contribute nothing to scores.
 	attrs []rankAttr
 }
 
 type rankAttr struct {
 	name    string
-	pos     int
 	numeric bool
 	// weight is the attribute's share of workload attention (NAttr/N); an
 	// attribute nobody filters on cannot express preference.
 	weight float64
-	// maxOcc normalizes categorical QF scores.
-	maxOcc float64
 }
 
 // New builds a Ranker for relations with the given schema.
@@ -48,13 +45,7 @@ func New(stats *workload.Stats, schema *relation.Schema) *Ranker {
 		if w == 0 {
 			continue
 		}
-		ra := rankAttr{
-			name:    a.Name,
-			pos:     i,
-			numeric: a.Type == relation.Numeric,
-			weight:  w,
-		}
-		r.attrs = append(r.attrs, ra)
+		r.attrs = append(r.attrs, rankAttr{name: a.Name, numeric: a.Type == relation.Numeric, weight: w})
 	}
 	return r
 }
@@ -65,19 +56,44 @@ func New(stats *workload.Stats, schema *relation.Schema) *Ranker {
 // occ(v)/NAttr (the QF fraction); numeric values contribute the fraction of
 // workload ranges on the attribute that contain them.
 func (r *Ranker) Score(rel *relation.Relation, row int) float64 {
-	t := rel.Row(row)
+	return r.columns(rel).score(row)
+}
+
+// scoredColumns holds one column snapshot per scored attribute, aligned to
+// Ranker.attrs, so scoring many rows reads the columns directly.
+type scoredColumns struct {
+	r    *Ranker
+	nums [][]float64
+	cats []*relation.CatColumn
+}
+
+// columns loads the scored attributes' columns from rel, which has the
+// schema the Ranker was built for, so each lookup succeeds.
+func (r *Ranker) columns(rel *relation.Relation) scoredColumns {
+	sc := scoredColumns{r: r, nums: make([][]float64, len(r.attrs)), cats: make([]*relation.CatColumn, len(r.attrs))}
+	for k, a := range r.attrs {
+		if a.numeric {
+			sc.nums[k], _ = rel.NumColumn(a.name)
+		} else {
+			sc.cats[k], _ = rel.CatColumn(a.name)
+		}
+	}
+	return sc
+}
+
+func (sc scoredColumns) score(row int) float64 {
 	score := 0.0
-	for _, a := range r.attrs {
-		nAttr := r.stats.NAttr(a.name)
+	for k, a := range sc.r.attrs {
+		nAttr := sc.r.stats.NAttr(a.name)
 		if nAttr == 0 {
 			continue
 		}
 		var qf float64
 		if a.numeric {
-			v := t[a.pos].Num
-			qf = float64(r.stats.NOverlapRange(a.name, v, math.Nextafter(v, math.Inf(1)))) / float64(nAttr)
+			v := sc.nums[k][row]
+			qf = float64(sc.r.stats.NOverlapRange(a.name, v, math.Nextafter(v, math.Inf(1)))) / float64(nAttr)
 		} else {
-			qf = float64(r.stats.Occ(a.name, t[a.pos].Str)) / float64(nAttr)
+			qf = float64(sc.r.stats.Occ(a.name, sc.cats[k].Value(row))) / float64(nAttr)
 		}
 		score += a.weight * qf
 	}
@@ -92,9 +108,10 @@ func (r *Ranker) Rank(rel *relation.Relation, rows []int) []int {
 		row   int
 		score float64
 	}
+	cols := r.columns(rel)
 	out := make([]scored, len(rows))
 	for i, row := range rows {
-		out[i] = scored{row: row, score: r.Score(rel, row)}
+		out[i] = scored{row: row, score: cols.score(row)}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].score > out[j].score })
 	ranked := make([]int, len(rows))

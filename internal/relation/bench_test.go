@@ -5,23 +5,6 @@ import (
 	"testing"
 )
 
-// BenchmarkBuildColumns measures the columnar projection build: one
-// dictionary-encoded categorical column plus two dense numeric columns.
-func BenchmarkBuildColumns(b *testing.B) {
-	for _, n := range []int{1000, 20000} {
-		b.Run(fmt.Sprintf("rows=%d", n), func(b *testing.B) {
-			r := relationOfSize(n, 7)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.dropColumns()
-				if err := r.BuildColumns(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSortByValue measures the pair-sort that backs every numeric
 // partitioning: project, pack, pdqsort, unpack.
 func BenchmarkSortByValue(b *testing.B) {
@@ -44,8 +27,8 @@ func BenchmarkSortByValue(b *testing.B) {
 	}
 }
 
-// BenchmarkCatColumnLookup measures the dictionary binary search used to
-// rank presentation-ordered values into codes.
+// BenchmarkCatColumnLookup measures the dictionary lookup used to rank
+// presentation-ordered values into codes.
 func BenchmarkCatColumnLookup(b *testing.B) {
 	r := relationOfSize(20000, 7)
 	col, err := r.CatColumn("neighborhood")
@@ -98,7 +81,7 @@ func BenchmarkSelectQuery(b *testing.B) {
 
 // BenchmarkSelectQueryCold measures the per-unique-query cost: the conjunct
 // bitmap cache is dropped every iteration, so every conjunct is evaluated
-// from scratch (columnar projections stay warm, as they do in serving).
+// from scratch over the relation's columns.
 func BenchmarkSelectQueryCold(b *testing.B) {
 	b.Run("rows=20000/conjuncts=3", func(b *testing.B) {
 		r := relationOfSize(20000, 7)
@@ -113,21 +96,8 @@ func BenchmarkSelectQueryCold(b *testing.B) {
 	})
 }
 
-// dropColumns invalidates all cached projections: the drop-everything
-// baseline of the build and append benchmarks (Append never drops them).
-func (r *Relation) dropColumns() {
-	r.cols.mu.Lock()
-	r.cols.cat = nil
-	r.cols.num = nil
-	r.cols.sorted = nil
-	r.cols.identity = nil
-	r.cols.idBacking = nil
-	r.cols.mu.Unlock()
-}
-
-// dropConjuncts empties the conjunct-bitmap cache: the cold-select and
-// drop-everything baselines of the benchmarks (stale entries extend
-// instead).
+// dropConjuncts empties the conjunct-bitmap cache: the cold-select
+// baseline of the benchmarks (stale entries extend instead).
 func (r *Relation) dropConjuncts() {
 	r.vsel.mu.Lock()
 	if r.vsel.ll != nil {

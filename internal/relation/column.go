@@ -3,47 +3,180 @@ package relation
 import (
 	"fmt"
 	"slices"
-	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 )
 
-// Columnar projections. The categorizer's level-by-level search reads the
-// same one or two attributes for every tuple of every frontier node, per
-// candidate attribute, per level — a column-at-a-time access pattern that
-// row-wise Tuple storage serves badly (every read drags the whole row
-// through the cache and hashes strings). A projection materializes one
-// attribute as a dense, cache-friendly array:
+// Columnar storage. The categorizer's level-by-level search reads the same
+// one or two attributes for every tuple of every frontier node, per
+// candidate attribute, per level — a column-at-a-time access pattern — so
+// the relation stores nothing but columns:
 //
-//   - numeric attributes project to a []float64 indexed by row id;
-//   - categorical attributes project to dictionary codes: a []uint32 per
-//     row plus a sorted value table, so partitioning becomes integer
-//     counting-sort instead of string hashing.
+//   - a numeric attribute is a dense []float64 indexed by row id;
+//   - a categorical attribute is a []uint32 of codes into the attribute's
+//     dictionary, so partitioning is integer counting-sort instead of
+//     string hashing.
 //
-// Maintenance is incremental (DESIGN.md §14): projections are immutable
-// snapshots published RCU-style, and appending rows no longer invalidates
-// them. A read against a stale projection extends it — new rows are encoded
-// into spare capacity beyond the published length (invisible to holders of
-// the older snapshot) and a longer snapshot is published. Rows already
-// projected are never re-read; per-row maintenance cost is O(1) amortized instead of
-// the historical O(total rows) drop-and-rebuild. The one structural event
-// is a dictionary remap: when a categorical value never seen before
-// arrives, the sorted dictionary gains an entry and every code at or above
-// the insertion point shifts by the insert count — a pure integer rewrite
-// of the code array (no stored row is re-read, no string is re-hashed),
-// bounded by the number of distinct values ever appended.
+// A code is a value's position in arrival order — first appearance for
+// Append, page-dictionary order for AppendPages — and never changes once
+// assigned, so a published code column stays valid as the dictionary
+// grows. Nothing reads code order as value order.
 //
-// Concurrent readers are safe: the cache is mutex-guarded, published
-// snapshots are cap-clamped so spare capacity is unreachable through them,
-// and a snapshot's visible elements are never written again.
+// Each column is a backing array with room for columns.rows rows, of
+// which the first columns.n are published. A writer fills rows past n and
+// then raises n; when the arrays are full it copies them into a larger
+// successor and publishes that instead. A published row is never written
+// again, so a reader's snapshot — the columns it loaded and the count it
+// read — stays consistent while writers append.
 
-// CatColumn is the dictionary-encoded projection of one categorical
-// attribute. Codes[i] is the code of row i's value; Dict is sorted
-// ascending, so codes compare in lexicographic value order. Both slices are
-// shared snapshots — callers must not modify them (catlint's segguard
-// check enforces this outside internal/relation).
+// columns is the relation's storage: per attribute, one backing array of
+// rows elements, shared by every snapshot until a successor replaces it.
+type columns struct {
+	// n is the published row count; rows [n, rows) are the writer's.
+	n    atomic.Int64
+	rows int
+	num  [][]float64   // per attribute; nil for a categorical attribute
+	code [][]uint32    // per attribute; nil for a numeric attribute
+	dict []*dictionary // per attribute; nil for a numeric attribute
+}
+
+// newColumns allocates storage for capRows rows of schema, copying the
+// published rows and sharing the dictionaries of prev (nil for an empty
+// relation). The result is unpublished: its count is prev's.
+func newColumns(schema *Schema, capRows int, prev *columns) *columns {
+	k := schema.Len()
+	c := &columns{
+		rows: capRows,
+		num:  make([][]float64, k),
+		code: make([][]uint32, k),
+		dict: make([]*dictionary, k),
+	}
+	n := 0
+	if prev != nil {
+		n = int(prev.n.Load())
+	}
+	c.n.Store(int64(n))
+	for a := 0; a < k; a++ {
+		if schema.Attr(a).Type == Numeric {
+			c.num[a] = make([]float64, capRows)
+			if prev != nil {
+				copy(c.num[a], prev.num[a][:n])
+			}
+			continue
+		}
+		c.code[a] = make([]uint32, capRows)
+		if prev != nil {
+			copy(c.code[a], prev.code[a][:n])
+			c.dict[a] = prev.dict[a]
+		} else {
+			c.dict[a] = &dictionary{codes: make(map[string]uint32)}
+		}
+	}
+	return c
+}
+
+// growCap sizes a backing array for n rows with headroom, so steady-state
+// appends extend in place instead of reallocating per row.
+func growCap(n int) int { return n + n/4 + 64 }
+
+// reserveLocked returns the storage a writer fills with k more rows and the
+// first row to fill: the published columns when the rows fit, or else an
+// unpublished successor sized with headroom. Caller holds r.mu and hands
+// the result to publishLocked.
+func (r *Relation) reserveLocked(k int) (*columns, int) {
+	c := r.cols.Load()
+	n := int(c.n.Load())
+	if n+k > c.rows {
+		c = newColumns(r.schema, growCap(n+k), c)
+	}
+	return c, n
+}
+
+// publishLocked makes rows [.., n) of c visible: it raises c's count and,
+// when c is a successor from reserveLocked, installs it. Caller holds r.mu.
+func (r *Relation) publishLocked(c *columns, n int) {
+	c.n.Store(int64(n))
+	if r.cols.Load() != c {
+		r.cols.Store(c)
+	}
+}
+
+// view is one consistent read of the storage: the first n rows of c.
+type view struct {
+	c *columns
+	n int
+}
+
+// view loads the current snapshot. The count is read after the columns
+// pointer and before any dictionary, so every code in the first n rows is
+// covered by the dictionary values the reader loads next.
+func (r *Relation) view() view {
+	c := r.cols.Load()
+	return view{c: c, n: int(c.n.Load())}
+}
+
+// value decodes row i's cell of attribute a.
+func (v view) value(a, i int) Value {
+	if num := v.c.num[a]; num != nil {
+		return NumberValue(num[i])
+	}
+	return StringValue(v.c.dict[a].values()[v.c.code[a][i]])
+}
+
+// dictionary is one categorical attribute's value table, shared by every
+// storage generation of the relation.
+type dictionary struct {
+	// vals is the published table, indexed by code. The writer appends into
+	// spare capacity and republishes a longer header.
+	vals atomic.Pointer[[]string]
+	// codes maps each value to its code. The writer, holding the relation's
+	// mutex, reads it freely and inserts under mu; readers take mu.
+	mu    sync.Mutex
+	codes map[string]uint32
+}
+
+// values returns the published value table.
+func (d *dictionary) values() []string {
+	if p := d.vals.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// code returns v's code, assigning the next one when v is new. The new
+// value is published before its code can reach a column. Caller holds the
+// relation's mutex.
+func (d *dictionary) code(v string) uint32 {
+	if c, ok := d.codes[v]; ok {
+		return c
+	}
+	v = strings.Clone(v) // the table outlives the caller's string
+	vals := append(d.values(), v)
+	c := uint32(len(vals) - 1)
+	d.vals.Store(&vals)
+	d.mu.Lock()
+	d.codes[v] = c
+	d.mu.Unlock()
+	return c
+}
+
+// lookup returns v's code for a reader.
+func (d *dictionary) lookup(v string) (uint32, bool) {
+	d.mu.Lock()
+	c, ok := d.codes[v]
+	d.mu.Unlock()
+	return c, ok
+}
+
+// CatColumn is a snapshot of one categorical attribute. Codes[i] is the
+// code of row i's value and Dict maps codes to values, in arrival order.
+// Both slices are shared — callers must not modify them (catlint's
+// segguard check enforces this outside internal/relation).
 type CatColumn struct {
 	Codes []uint32
 	Dict  []string
+	d     *dictionary
 }
 
 // Value decodes row i's value.
@@ -52,38 +185,133 @@ func (c *CatColumn) Value(i int) string { return c.Dict[c.Codes[i]] }
 // Card returns the number of distinct values (the dictionary size).
 func (c *CatColumn) Card() int { return len(c.Dict) }
 
-// Code returns the dictionary code of v and whether v occurs in the column.
+// Code returns the dictionary code of v and whether v is in the snapshot's
+// dictionary. A value the relation coded after the snapshot was taken —
+// its code at or past len(Dict) — reads as absent.
 func (c *CatColumn) Code(v string) (uint32, bool) {
-	i := sort.SearchStrings(c.Dict, v)
-	if i < len(c.Dict) && c.Dict[i] == v {
-		return uint32(i), true
+	code, ok := c.d.lookup(v)
+	if !ok || int(code) >= len(c.Dict) {
+		return 0, false
 	}
-	return 0, false
+	return code, true
 }
 
-// catEntry is the cache slot of one categorical projection: the published
-// snapshot plus the full-capacity backing array the next extension appends
-// into. Invariant: e.backing[:len(e.col.Codes)] is e.col.Codes' data.
-type catEntry struct {
-	col     *CatColumn
-	backing []uint32
+// CatColumn returns a snapshot of the named categorical attribute. It
+// errors if the attribute is missing or numeric.
+func (r *Relation) CatColumn(attr string) (*CatColumn, error) {
+	pos, err := r.attrPos(attr, Categorical)
+	if err != nil {
+		return nil, err
+	}
+	v := r.view()
+	d := v.c.dict[pos]
+	dict := d.values()
+	return &CatColumn{Codes: v.c.code[pos][:v.n:v.n], Dict: dict[:len(dict):len(dict)], d: d}, nil
 }
 
-// numEntry is the cache slot of one numeric projection.
-type numEntry struct {
-	col     []float64
-	backing []float64
+// NumColumn returns a snapshot of the named numeric attribute. It errors if
+// the attribute is missing or categorical.
+func (r *Relation) NumColumn(attr string) ([]float64, error) {
+	pos, err := r.attrPos(attr, Numeric)
+	if err != nil {
+		return nil, err
+	}
+	v := r.view()
+	return v.c.num[pos][:v.n:v.n], nil
 }
 
-// columnCache holds the incrementally-maintained projections of a Relation.
+// attrPos resolves attr to its schema position, checking its type.
+func (r *Relation) attrPos(attr string, typ Type) (int, error) {
+	pos, ok := r.schema.Lookup(attr)
+	if !ok {
+		return 0, fmt.Errorf("relation %s: no attribute %q to project", r.Name, attr)
+	}
+	if r.schema.Attr(pos).Type != typ {
+		return 0, fmt.Errorf("relation %s: attribute %q is not %s", r.Name, attr, typ)
+	}
+	return pos, nil
+}
+
+// Page is one decoded column page: one attribute's cells for a run of
+// consecutive rows — Nums for a numeric attribute, or Codes into the
+// page-local Dict for a categorical one. The durable store decodes its
+// segment files into pages.
+type Page struct {
+	Nums  []float64
+	Codes []uint32
+	Dict  []string
+}
+
+// AppendPages appends one run of rows given column by column: pages[a]
+// holds attribute a's cells. Numeric pages are copied, and each
+// categorical page's codes are translated into the relation's dictionary
+// through one table built from the page's Dict. It returns an error, and
+// changes nothing, when the page count does not match the schema or a
+// page has the wrong kind, a different length from the first, or a code
+// outside its Dict.
+func (r *Relation) AppendPages(pages []Page) error {
+	k, err := r.checkPages(pages)
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c, n := r.reserveLocked(k)
+	for a, p := range pages {
+		if num := c.num[a]; num != nil {
+			copy(num[n:n+k], p.Nums)
+			continue
+		}
+		d := c.dict[a]
+		table := make([]uint32, len(p.Dict))
+		for i, v := range p.Dict {
+			table[i] = d.code(v)
+		}
+		dst := c.code[a][n : n+k]
+		for i, code := range p.Codes {
+			dst[i] = table[code]
+		}
+	}
+	r.publishLocked(c, n+k)
+	return nil
+}
+
+// checkPages validates a bulk append and returns its row count.
+func (r *Relation) checkPages(pages []Page) (int, error) {
+	if len(pages) != r.schema.Len() {
+		return 0, fmt.Errorf("relation %s: %d pages, schema has %d attributes", r.Name, len(pages), r.schema.Len())
+	}
+	k := 0
+	for a, p := range pages {
+		attr := r.schema.Attr(a)
+		rows := len(p.Codes)
+		if attr.Type == Numeric {
+			rows = len(p.Nums)
+		}
+		if a == 0 {
+			k = rows
+		}
+		switch {
+		case attr.Type == Numeric && (p.Codes != nil || p.Dict != nil),
+			attr.Type == Categorical && p.Nums != nil:
+			return 0, fmt.Errorf("relation %s: page for %s attribute %q has the wrong kind", r.Name, attr.Type, attr.Name)
+		case rows != k:
+			return 0, fmt.Errorf("relation %s: page for %q has %d rows, want %d", r.Name, attr.Name, rows, k)
+		}
+		for _, code := range p.Codes {
+			if int(code) >= len(p.Dict) {
+				return 0, fmt.Errorf("relation %s: page for %q has code %d outside its dictionary of %d", r.Name, attr.Name, code, len(p.Dict))
+			}
+		}
+	}
+	return k, nil
+}
+
+// columnCache holds the relation's derived full-table structures.
 type columnCache struct {
 	mu sync.Mutex
 	//lint:guardedby mu
-	cat map[string]*catEntry // keyed by lower-cased attribute name
-	//lint:guardedby mu
-	num map[string]*numEntry
-	//lint:guardedby mu
-	sorted map[string]*numSorted
+	sorted map[int]*numSorted // keyed by schema position
 	// identity is the cached full row list [0, 1, …, n-1] that Select(nil)
 	// and Browse return; extended in place (spare capacity) as rows append.
 	//lint:guardedby mu
@@ -92,21 +320,17 @@ type columnCache struct {
 	idBacking []int
 }
 
-// growCap sizes a backing array for n rows with headroom, so steady-state
-// appends extend in place instead of reallocating per row.
-func growCap(n int) int { return n + n/4 + 64 }
-
 // identityRows returns the cached identity row list, building or extending
 // it to the current row count. The returned slice is shared — callers must
 // treat it as read-only.
 func (r *Relation) identityRows() []int {
 	n := r.Len()
-	r.cols.mu.Lock()
-	defer r.cols.mu.Unlock()
-	if len(r.cols.identity) == n {
-		return r.cols.identity
+	r.cache.mu.Lock()
+	defer r.cache.mu.Unlock()
+	if len(r.cache.identity) == n {
+		return r.cache.identity
 	}
-	b := r.cols.idBacking
+	b := r.cache.idBacking
 	if cap(b) < n {
 		nb := make([]int, len(b), growCap(n))
 		copy(nb, b)
@@ -115,9 +339,9 @@ func (r *Relation) identityRows() []int {
 	for i := len(b); i < n; i++ {
 		b = append(b, i)
 	}
-	r.cols.idBacking = b
-	r.cols.identity = b[:n:n]
-	return r.cols.identity
+	r.cache.idBacking = b
+	r.cache.identity = b[:n:n]
+	return r.cache.identity
 }
 
 // numSorted is the whole relation ordered by one numeric attribute.
@@ -192,19 +416,19 @@ func sortValRows(pairs []valRow) {
 // SortByValue, built once and cached (browsing-mode categorization sorts
 // the entire result set at its root for every numeric candidate, on every
 // request). A cached permutation that lags appended rows is rebuilt from
-// the incrementally-extended column — a full re-sort, deliberately, so the
-// permutation (ties included) is bitwise what a cold build over the same
-// rows produces. The returned slices are shared snapshots; callers must not
-// modify them.
+// the column — a full re-sort, deliberately, so the permutation (ties
+// included) is bitwise what a cold build over the same rows produces. The
+// returned slices are shared snapshots; callers must not modify them.
 func (r *Relation) NumSorted(attr string) (rows []int, vals []float64, err error) {
-	col, err := r.NumColumn(attr)
+	pos, err := r.attrPos(attr, Numeric)
 	if err != nil {
 		return nil, nil, err
 	}
-	key := lower(r.schema.Attr(mustPos(r.schema, attr)).Name)
-	r.cols.mu.Lock()
-	defer r.cols.mu.Unlock()
-	if s, ok := r.cols.sorted[key]; ok && len(s.rows) == len(col) {
+	v := r.view()
+	col := v.c.num[pos][:v.n]
+	r.cache.mu.Lock()
+	defer r.cache.mu.Unlock()
+	if s, ok := r.cache.sorted[pos]; ok && len(s.rows) == len(col) {
 		return s.rows, s.vals, nil
 	}
 	pairs := pairsFor(len(col))
@@ -218,232 +442,9 @@ func (r *Relation) NumSorted(attr string) (rows []int, vals []float64, err error
 		s.vals[k] = p.v
 	}
 	pairPool.Put(&pairs)
-	if r.cols.sorted == nil {
-		r.cols.sorted = make(map[string]*numSorted)
+	if r.cache.sorted == nil {
+		r.cache.sorted = make(map[int]*numSorted)
 	}
-	r.cols.sorted[key] = s
+	r.cache.sorted[pos] = s
 	return s.rows, s.vals, nil
-}
-
-func mustPos(s *Schema, attr string) int {
-	pos, _ := s.Lookup(attr)
-	return pos
-}
-
-// CatColumn returns the dictionary-encoded projection of the named
-// categorical attribute, building it on first use and extending it over any
-// rows appended since the cached snapshot. It errors if the attribute is
-// missing or numeric.
-func (r *Relation) CatColumn(attr string) (*CatColumn, error) {
-	pos, ok := r.schema.Lookup(attr)
-	if !ok {
-		return nil, fmt.Errorf("relation %s: no attribute %q to project", r.Name, attr)
-	}
-	if r.schema.Attr(pos).Type != Categorical {
-		return nil, fmt.Errorf("relation %s: attribute %q is not categorical", r.Name, attr)
-	}
-	key := lower(r.schema.Attr(pos).Name)
-	rows := r.snapshot()
-	r.cols.mu.Lock()
-	defer r.cols.mu.Unlock()
-	return r.catColumnLocked(key, pos, rows), nil
-}
-
-// catColumnLocked builds or extends the categorical projection to cover
-// rows. Called with cols.mu held.
-func (r *Relation) catColumnLocked(key string, pos int, rows []Tuple) *CatColumn {
-	e := r.cols.cat[key]
-	if e == nil {
-		e = buildCatEntry(rows, pos)
-		if r.cols.cat == nil {
-			r.cols.cat = make(map[string]*catEntry)
-		}
-		r.cols.cat[key] = e
-		return e.col
-	}
-	n0, n := len(e.col.Codes), len(rows)
-	if n0 >= n {
-		// rows may be a snapshot loaded before another reader extended the
-		// column past it. Never publish a shorter column: extensions append
-		// at the end of the backing array, so every later row's code would
-		// land at the wrong position.
-		return e.col
-	}
-	// Collect values the sorted dictionary has never seen.
-	dict := e.col.Dict
-	var newVals []string
-	for i := n0; i < n; i++ {
-		v := rows[i][pos].Str
-		if _, ok := e.col.Code(v); ok {
-			continue
-		}
-		if j := sort.SearchStrings(newVals, v); j == len(newVals) || newVals[j] != v {
-			newVals = append(newVals, "")
-			copy(newVals[j+1:], newVals[j:])
-			newVals[j] = v
-		}
-	}
-	var ne *catEntry
-	if newVals == nil {
-		// Append-only extension: new codes land in spare capacity beyond the
-		// published length; holders of the older snapshot never see them.
-		backing := e.backing
-		if cap(backing) < n {
-			backing = make([]uint32, n0, growCap(n))
-			copy(backing, e.backing)
-		}
-		for i := n0; i < n; i++ {
-			c, _ := e.col.Code(rows[i][pos].Str)
-			backing = append(backing, c)
-		}
-		ne = &catEntry{col: &CatColumn{Codes: backing[:n:n], Dict: dict}, backing: backing}
-	} else {
-		// Dictionary remap: merge the new values into the sorted dictionary
-		// and shift existing codes past each insertion point. An integer
-		// rewrite of the code array — projected rows are not re-read.
-		newDict := make([]string, 0, len(dict)+len(newVals))
-		shift := make([]uint32, len(dict))
-		i, j := 0, 0
-		for i < len(dict) || j < len(newVals) {
-			if j == len(newVals) || (i < len(dict) && dict[i] < newVals[j]) {
-				shift[i] = uint32(len(newDict))
-				newDict = append(newDict, dict[i])
-				i++
-			} else {
-				newDict = append(newDict, newVals[j])
-				j++
-			}
-		}
-		backing := make([]uint32, n, growCap(n))
-		for k, c := range e.backing[:n0] {
-			backing[k] = shift[c]
-		}
-		nc := &CatColumn{Codes: backing[:n:n], Dict: newDict}
-		for k := n0; k < n; k++ {
-			c, _ := nc.Code(rows[k][pos].Str)
-			backing[k] = c
-		}
-		ne = &catEntry{col: nc, backing: backing}
-	}
-	r.cols.cat[key] = ne
-	return ne.col
-}
-
-// buildCatEntry dictionary-encodes column pos from scratch, with spare
-// capacity for future extensions.
-func buildCatEntry(rows []Tuple, pos int) *catEntry {
-	codeOf := make(map[string]uint32, 64)
-	var dict []string
-	for _, row := range rows {
-		v := row[pos].Str
-		if _, ok := codeOf[v]; !ok {
-			codeOf[v] = 0
-			dict = append(dict, v)
-		}
-	}
-	sort.Strings(dict)
-	for i, v := range dict {
-		codeOf[v] = uint32(i)
-	}
-	n := len(rows)
-	backing := make([]uint32, n, growCap(n))
-	for i, row := range rows {
-		backing[i] = codeOf[row[pos].Str]
-	}
-	return &catEntry{col: &CatColumn{Codes: backing[:n:n], Dict: dict}, backing: backing}
-}
-
-// NumColumn returns the dense projection of the named numeric attribute,
-// building it on first use and extending it over rows appended since the
-// cached snapshot. It errors if the attribute is missing or categorical.
-func (r *Relation) NumColumn(attr string) ([]float64, error) {
-	pos, ok := r.schema.Lookup(attr)
-	if !ok {
-		return nil, fmt.Errorf("relation %s: no attribute %q to project", r.Name, attr)
-	}
-	if r.schema.Attr(pos).Type != Numeric {
-		return nil, fmt.Errorf("relation %s: attribute %q is not numeric", r.Name, attr)
-	}
-	key := lower(r.schema.Attr(pos).Name)
-	rows := r.snapshot()
-	r.cols.mu.Lock()
-	defer r.cols.mu.Unlock()
-	return r.numColumnLocked(key, pos, rows), nil
-}
-
-// numColumnLocked builds or extends the numeric projection to cover rows.
-// Called with cols.mu held.
-func (r *Relation) numColumnLocked(key string, pos int, rows []Tuple) []float64 {
-	e := r.cols.num[key]
-	n := len(rows)
-	if e != nil && len(e.col) >= n {
-		// As in catColumnLocked: a stale snapshot must not shrink the column.
-		return e.col
-	}
-	var backing []float64
-	n0 := 0
-	if e != nil {
-		backing = e.backing
-		n0 = len(e.col)
-		if cap(backing) < n {
-			backing = make([]float64, n0, growCap(n))
-			copy(backing, e.backing)
-		}
-	} else {
-		backing = make([]float64, 0, growCap(n))
-	}
-	for i := n0; i < n; i++ {
-		backing = append(backing, rows[i][pos].Num)
-	}
-	ne := &numEntry{col: backing[:n:n], backing: backing}
-	if r.cols.num == nil {
-		r.cols.num = make(map[string]*numEntry)
-	}
-	r.cols.num[key] = ne
-	return ne.col
-}
-
-// BuildColumns eagerly materializes projections for the named attributes
-// (all attributes when none are given), so later concurrent readers never
-// pay the build inside a hot path.
-func (r *Relation) BuildColumns(attrs ...string) error {
-	if len(attrs) == 0 {
-		attrs = make([]string, r.schema.Len())
-		for i := range attrs {
-			attrs[i] = r.schema.Attr(i).Name
-		}
-	}
-	for _, attr := range attrs {
-		pos, ok := r.schema.Lookup(attr)
-		if !ok {
-			return fmt.Errorf("relation %s: no attribute %q to project", r.Name, attr)
-		}
-		var err error
-		if r.schema.Attr(pos).Type == Categorical {
-			_, err = r.CatColumn(attr)
-		} else {
-			_, err = r.NumColumn(attr)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// lower ASCII-lowercases an attribute name for the projection cache keys,
-// returning s itself (no allocation) when it is already lower.
-func lower(s string) string {
-	b := []byte(s)
-	changed := false
-	for i, c := range b {
-		if c >= 'A' && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-			changed = true
-		}
-	}
-	if !changed {
-		return s
-	}
-	return string(b)
 }

@@ -60,8 +60,8 @@ func ReadCSV(name string, r io.Reader, schema *Schema) (*Relation, error) {
 	}
 	rel := New(name, schema)
 	rel.Grow(len(records))
+	tuple := make(Tuple, schema.Len()) // reused: Append copies the cells
 	for ri, rec := range records {
-		tuple := make(Tuple, schema.Len())
 		for i := range tuple {
 			cell := rec[colOf[i]]
 			if schema.Attr(i).Type == Categorical {
@@ -141,13 +141,13 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 		return fmt.Errorf("relation: writing CSV header: %w", err)
 	}
 	record := make([]string, r.schema.Len())
-	for i := 0; i < r.Len(); i++ {
-		row := r.Row(i)
+	v := r.view()
+	for i := 0; i < v.n; i++ {
 		for j := range record {
-			if r.schema.Attr(j).Type == Categorical {
-				record[j] = row[j].Str
+			if cell := v.value(j, i); r.schema.Attr(j).Type == Categorical {
+				record[j] = cell.Str
 			} else {
-				record[j] = strconv.FormatFloat(row[j].Num, 'f', -1, 64)
+				record[j] = strconv.FormatFloat(cell.Num, 'f', -1, 64)
 			}
 		}
 		if err := writeCSVRecord(bw, record); err != nil {

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -96,6 +97,61 @@ func TestRecoveryTornFinalRecord(t *testing.T) {
 	}
 	defer st2.Close()
 	assertStoreMatches(t, st2, memRelation(t, n+10), false)
+}
+
+// TestRecoveryCodeOutsideDictionary: a categorical page whose checksum
+// holds but whose codes overrun its dictionary (a writer bug, not a torn
+// write) is rejected by the relation's bulk append, and the store
+// quarantines the segment instead of serving or panicking on it.
+func TestRecoveryCodeOutsideDictionary(t *testing.T) {
+	const n, segRows = 100, 16
+	dir := t.TempDir()
+	seedStore(t, dir, n, segRows)
+	path := filepath.Join(dir, segFileName(segRows, 2*segRows))
+	hdr, hdrEnd, err := readSegHeader(path, testSchema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-frame the neighborhood page with its last code past the dictionary.
+	pg := hdr.Pages[0]
+	framed := data[hdrEnd+pg.Off : hdrEnd+pg.Off+pg.Len]
+	payload := append([]byte(nil), framed[4:len(framed)-4]...)
+	binary.LittleEndian.PutUint32(payload[len(payload)-4:], 1<<20)
+	copy(framed, framePage(nil, payload))
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := Open(dir, Options{ReadOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	rel, err := st.Relation("ListProperty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := st.Quarantined()
+	if len(q) != 1 || q[0].Lo != segRows || q[0].Hi != 2*segRows || !strings.Contains(q[0].Reason, "outside its dictionary") {
+		t.Fatalf("quarantine records = %+v, want one over [%d,%d) naming the dictionary", q, segRows, 2*segRows)
+	}
+	mem := memRelation(t, n)
+	if rel.Len() != n-segRows {
+		t.Fatalf("surviving relation has %d rows, want %d", rel.Len(), n-segRows)
+	}
+	for i := 0; i < rel.Len(); i++ {
+		j := i
+		if i >= segRows {
+			j = i + segRows
+		}
+		if !sameTuple(rel.Row(i), mem.Row(j)) {
+			t.Fatalf("surviving row %d != reference row %d", i, j)
+		}
+	}
 }
 
 func TestRecoveryBitFlippedSegmentPage(t *testing.T) {

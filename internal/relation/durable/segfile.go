@@ -28,10 +28,12 @@ import (
 // offsets in the directory are relative to the end of the header page —
 // the header cannot know its own encoded size before it is encoded.
 //
-// Dictionaries are per-segment and sorted: a spilled segment never hears
-// about the in-memory global dictionary's remaps. Headers written before
-// zone maps were deleted also carry a "zones" array (per-attribute min/max
-// or value sets); the reader ignores it, so those stores open unchanged.
+// Dictionaries are per-segment and sorted; Store.Relation hands each
+// decoded page to relation.AppendPages, which translates its codes into
+// the relation's dictionary through one table per page. Headers written
+// before zone maps were deleted also carry a "zones" array (per-attribute
+// min/max or value sets); the reader ignores it, so those stores open
+// unchanged.
 //
 // Spill is atomic per segment: write seg-….tmp, fsync, rename into place,
 // fsync the directory. The manifest flips to reference the segment only
@@ -58,16 +60,11 @@ type segHeader struct {
 
 func segFileName(lo, hi int) string { return fmt.Sprintf("seg-%010d-%010d.seg", lo, hi) }
 
-// segColumn is one decoded column page: exactly one of nums or codes+dict.
-type segColumn struct {
-	nums  []float64
-	dict  []string
-	codes []uint32
-}
-
-func (c *segColumn) bytes() uint64 {
-	b := 8*uint64(len(c.nums)) + 4*uint64(len(c.codes))
-	for _, v := range c.dict {
+// pageBytes is the in-memory size of one decoded column page, for the
+// LoadedBytes counter.
+func pageBytes(p relation.Page) uint64 {
+	b := 8*uint64(len(p.Nums)) + 4*uint64(len(p.Codes))
+	for _, v := range p.Dict {
 		b += uint64(len(v)) + 16
 	}
 	return b
@@ -216,60 +213,52 @@ func errOrTorn(err error) error {
 	return err
 }
 
-// readSegColumn loads, checksums, and decodes one column page of a segment
-// file. hdrEnd is the header page's on-disk size (column offsets are
-// relative to it).
-func readSegColumn(path string, hdr *segHeader, hdrEnd int64, attr int, schema *relation.Schema) (*segColumn, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
+// readSegColumn loads, checksums, and decodes one column page of the open
+// segment file f. hdrEnd is the header page's on-disk size (column offsets
+// are relative to it). Codes are not range-checked here:
+// relation.AppendPages rejects a page whose codes overrun its dictionary.
+func readSegColumn(f io.ReaderAt, hdr *segHeader, hdrEnd int64, attr int, schema *relation.Schema) (relation.Page, error) {
+	name := schema.Attr(attr).Name
 	pg := hdr.Pages[attr]
-	sec := io.NewSectionReader(f, hdrEnd+pg.Off, pg.Len)
-	payload, err := readPage(sec)
+	payload, err := readPage(io.NewSectionReader(f, hdrEnd+pg.Off, pg.Len))
 	if err != nil {
-		return nil, fmt.Errorf("column %q page: %w", schema.Attr(attr).Name, errOrTorn(err))
+		return relation.Page{}, fmt.Errorf("column %q page: %w", name, errOrTorn(err))
 	}
 	rows := hdr.Hi - hdr.Lo
 	if schema.Attr(attr).Type == relation.Numeric {
 		if len(payload) != 8*rows {
-			return nil, fmt.Errorf("column %q page: %w: %d bytes for %d rows", schema.Attr(attr).Name, ErrCorrupt, len(payload), rows)
+			return relation.Page{}, fmt.Errorf("column %q page: %w: %d bytes for %d rows", name, ErrCorrupt, len(payload), rows)
 		}
 		nums := make([]float64, rows)
 		for i := range nums {
 			nums[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 		}
-		return &segColumn{nums: nums}, nil
+		return relation.Page{Nums: nums}, nil
 	}
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("column %q page: %w: short dictionary header", schema.Attr(attr).Name, ErrCorrupt)
+		return relation.Page{}, fmt.Errorf("column %q page: %w: short dictionary header", name, ErrCorrupt)
 	}
 	nvals := int(binary.LittleEndian.Uint32(payload))
 	payload = payload[4:]
 	dict := make([]string, 0, nvals)
 	for i := 0; i < nvals; i++ {
 		if len(payload) < 4 {
-			return nil, fmt.Errorf("column %q page: %w: truncated dictionary", schema.Attr(attr).Name, ErrCorrupt)
+			return relation.Page{}, fmt.Errorf("column %q page: %w: truncated dictionary", name, ErrCorrupt)
 		}
 		n := int(binary.LittleEndian.Uint32(payload))
 		payload = payload[4:]
 		if n > len(payload) {
-			return nil, fmt.Errorf("column %q page: %w: dictionary entry overruns page", schema.Attr(attr).Name, ErrCorrupt)
+			return relation.Page{}, fmt.Errorf("column %q page: %w: dictionary entry overruns page", name, ErrCorrupt)
 		}
 		dict = append(dict, string(payload[:n]))
 		payload = payload[n:]
 	}
 	if len(payload) != 4*rows {
-		return nil, fmt.Errorf("column %q page: %w: %d code bytes for %d rows", schema.Attr(attr).Name, ErrCorrupt, len(payload), rows)
+		return relation.Page{}, fmt.Errorf("column %q page: %w: %d code bytes for %d rows", name, ErrCorrupt, len(payload), rows)
 	}
 	codes := make([]uint32, rows)
 	for i := range codes {
-		c := binary.LittleEndian.Uint32(payload[4*i:])
-		if int(c) >= len(dict) {
-			return nil, fmt.Errorf("column %q page: %w: code %d outside dictionary of %d", schema.Attr(attr).Name, ErrCorrupt, c, len(dict))
-		}
-		codes[i] = c
+		codes[i] = binary.LittleEndian.Uint32(payload[4*i:])
 	}
-	return &segColumn{dict: dict, codes: codes}, nil
+	return relation.Page{Codes: codes, Dict: dict}, nil
 }

@@ -370,23 +370,36 @@ func (s *Store) ensureHeaderLocked(seg *diskSegment) error {
 	return nil
 }
 
-// readColumn reads one column page and verifies its checksum; the caller
-// owns the result and nothing keeps it. A bad page quarantines the whole
-// segment — its other pages are no longer trusted either.
-func (s *Store) readColumn(seg *diskSegment, attr int) (*segColumn, error) {
+// appendSegment reads seg's column pages, verifying each checksum, and
+// appends its rows to rel in one bulk append; nothing keeps the pages. A
+// bad page, or pages the relation rejects, quarantine the whole segment
+// and append nothing — its other pages are no longer trusted either.
+func (s *Store) appendSegment(rel *relation.Relation, seg *diskSegment) {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if err := s.ensureHeaderLocked(seg); err != nil {
-		return nil, err
+		return
 	}
-	c, err := readSegColumn(filepath.Join(s.dir, seg.meta.File), seg.hdr, seg.hdrEnd, attr, s.schema)
+	f, err := os.Open(filepath.Join(s.dir, seg.meta.File))
 	if err != nil {
 		s.quarantine(seg, err.Error())
-		return nil, err
+		return
 	}
-	s.colLoads.Add(1)
-	s.loadedBytes.Add(c.bytes())
-	return c, nil
+	defer f.Close()
+	pages := make([]relation.Page, s.schema.Len())
+	for a := range pages {
+		p, err := readSegColumn(f, seg.hdr, seg.hdrEnd, a, s.schema)
+		if err != nil {
+			s.quarantine(seg, err.Error())
+			return
+		}
+		s.colLoads.Add(1)
+		s.loadedBytes.Add(pageBytes(p))
+		pages[a] = p
+	}
+	if err := rel.AppendPages(pages); err != nil {
+		s.quarantine(seg, fmt.Sprintf("%v: %v", ErrCorrupt, err))
+	}
 }
 
 // Append adds one row: WAL record first (made durable per the sync
@@ -566,59 +579,27 @@ func (s *Store) snapshot() (segs []*diskSegment, tail []relation.Tuple) {
 }
 
 // Relation materializes the surviving rows — every non-quarantined sealed
-// segment in span order, then the tail — into a fresh relation. Column
-// pages are read from disk and checksum-verified on every call, and none is
-// kept once its rows are copied; a segment failing here is quarantined and
-// skipped, so the result is always the best currently-servable view.
+// segment in span order, then the tail — into a fresh relation. Each
+// segment's column pages are read from disk, checksum-verified and
+// appended in one bulk append (relation.AppendPages), on every call; none
+// is kept. No tuple is built for a sealed row. A segment failing here is
+// quarantined and skipped, so the result is always the best
+// currently-servable view.
 func (s *Store) Relation(name string) (*relation.Relation, error) {
 	segs, tail := s.snapshot()
 	rel := relation.New(name, s.schema)
-	total := 0
+	total := len(tail)
 	for _, seg := range segs {
 		total += seg.meta.Hi - seg.meta.Lo
 	}
-	rel.Grow(total + len(tail))
+	rel.Grow(total)
 	for _, seg := range segs {
-		rows, ok := s.segmentTuples(seg)
-		if !ok {
-			continue
-		}
-		for _, t := range rows {
-			rel.MustAppend(t)
-		}
+		s.appendSegment(rel, seg)
 	}
 	for _, t := range tail {
 		rel.MustAppend(t)
 	}
 	return rel, nil
-}
-
-// segmentTuples reads every column of seg and reassembles its tuples.
-// ok=false means the segment is (now) quarantined.
-func (s *Store) segmentTuples(seg *diskSegment) ([]relation.Tuple, bool) {
-	n := s.schema.Len()
-	cols := make([]*segColumn, n)
-	for a := 0; a < n; a++ {
-		c, err := s.readColumn(seg, a)
-		if err != nil {
-			return nil, false
-		}
-		cols[a] = c
-	}
-	rows := seg.meta.Hi - seg.meta.Lo
-	out := make([]relation.Tuple, rows)
-	for i := 0; i < rows; i++ {
-		t := make(relation.Tuple, n)
-		for a := 0; a < n; a++ {
-			if c := cols[a]; c.nums != nil {
-				t[a] = relation.NumberValue(c.nums[i])
-			} else {
-				t[a] = relation.StringValue(c.dict[c.codes[i]])
-			}
-		}
-		out[i] = t
-	}
-	return out, true
 }
 
 // Stats is the durability snapshot behind healthz's "durability" block.

@@ -42,7 +42,7 @@ func FuzzReadCSV(f *testing.F) {
 // (empty IN lists, unknown attributes, type mismatches, NaN bounds) — the
 // vectorized Select must return exactly the same row ids as the naive
 // row-wise scan, cold and warm, and across mid-run appends that force
-// conjunct/projection extension.
+// conjunct-bitmap extension and new dictionary values.
 //
 // The trailing bool argument is unused: it keeps the checked-in corpus
 // entries, which carry four values, loadable.
@@ -88,8 +88,8 @@ func FuzzVectorizedSelect(f *testing.F) {
 		attrPool = append(attrPool, "missing")
 		for trial := 0; trial < 10; trial++ {
 			if trial > 0 && appendRng.Intn(3) == 0 {
-				// Mid-run appends: cached conjunct bitmaps and projections
-				// built by earlier trials must extend.
+				// Mid-run appends: cached conjunct bitmaps built by earlier
+				// trials must extend.
 				for k := appendRng.Intn(3) + 1; k > 0; k-- {
 					r.MustAppend(randTuple(appendRng))
 				}

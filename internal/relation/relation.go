@@ -127,81 +127,88 @@ func NumberValue(n float64) Value { return Value{Num: n} }
 // Tuple is one row, with cells positionally aligned to a Schema.
 type Tuple []Value
 
-// Relation is an in-memory table: a schema plus rows. Rows are stored by
-// value; tuple identity within a relation is the row index, which the
-// categorizer uses to keep tuple-sets as index slices.
+// Relation is an in-memory table: a schema plus rows, stored column by
+// column (column.go). Tuple identity within a relation is the row index,
+// which the categorizer uses to keep tuple-sets as index slices.
 //
-// Concurrency: readers never block. The row store is published RCU-style —
-// an immutable slice header behind an atomic pointer that every read
-// operation loads once — and writers (Append, Grow) serialize on an
-// internal mutex, mutate a private copy or the spare capacity beyond the
-// published length, and publish with one atomic store. Readers racing a writer keep whichever
-// snapshot they loaded; row indices obtained from an older snapshot stay
-// valid against newer ones because rows are only ever appended.
+// Concurrency: readers take no lock to read rows. The storage is published
+// RCU-style — a set of column backing arrays behind an atomic pointer, plus
+// an atomic count of the rows published in it — and writers (Append,
+// AppendPages, Grow) serialize on an internal mutex, write their rows into
+// the spare capacity past the published count, and then raise the count
+// with one atomic store. A reader keeps whichever snapshot it loaded; row
+// indices obtained from an older snapshot stay valid against newer ones
+// because rows are only ever appended. The one lock a reader takes is a
+// dictionary's, for a value lookup (CatColumn.Code), which a writer holds
+// only while inserting a new value.
 type Relation struct {
 	Name   string
 	schema *Schema
 
-	// mu serializes writers; readers go through rows.Load() only.
+	// mu serializes writers; readers go through cols.Load() only.
 	mu   sync.Mutex
-	rows atomic.Pointer[[]Tuple]
+	cols atomic.Pointer[columns]
 
-	// Cached columnar projections (see column.go); maintained incrementally
-	// across Appends — rows already projected are never rebuilt.
-	cols columnCache
+	// Derived caches (see column.go): full-table sorts and the identity
+	// row list, each extended or rebuilt when it lags the row count.
+	cache columnCache
 
 	// Vectorized selection state (see vselect.go): the bounded
 	// conjunct-bitmap cache and the selection counters.
 	vsel vselState
-
-	// dataGen counts mutations; every Append increments it. Conjunct
-	// bitmaps and memoized trees are stamped with the generation they were
-	// built against.
-	dataGen atomic.Uint64
 }
 
 // New creates an empty relation with the given name and schema.
 func New(name string, schema *Schema) *Relation {
-	return &Relation{Name: name, schema: schema}
+	r := &Relation{Name: name, schema: schema}
+	r.cols.Store(newColumns(schema, 0, nil))
+	return r
 }
 
 // Schema returns the relation's schema.
 func (r *Relation) Schema() *Schema { return r.schema }
 
-// snapshot returns the current immutable row slice. One load per read
-// operation: a reader works against a consistent row set even while a
-// writer publishes a successor.
-func (r *Relation) snapshot() []Tuple {
-	if p := r.rows.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // Len returns the number of rows.
-func (r *Relation) Len() int { return len(r.snapshot()) }
+func (r *Relation) Len() int { return int(r.cols.Load().n.Load()) }
 
-// Row returns the i-th tuple. The returned slice must not be modified.
-func (r *Relation) Row(i int) Tuple { return r.snapshot()[i] }
+// Row returns the i-th tuple, built from the columns; the caller owns it.
+func (r *Relation) Row(i int) Tuple {
+	v := r.view()
+	if i < 0 || i >= v.n {
+		panic(fmt.Sprintf("relation %s: row %d out of range [0, %d)", r.Name, i, v.n))
+	}
+	t := make(Tuple, r.schema.Len())
+	for a := range t {
+		t[a] = v.value(a, i)
+	}
+	return t
+}
 
 // Append adds a row. It returns an error if the tuple width does not match
 // the schema. Append is safe to call concurrently with readers (Select,
-// Categorize, the column builders): the new row lands in spare capacity
-// beyond the published length — invisible to holders of the old snapshot —
-// and then a new slice header is published atomically.
+// Categorize, the column accessors): the tuple's cells are encoded into
+// spare capacity past the published count — numeric cells as they are,
+// categorical cells as dictionary codes — and then the count is raised.
+// The relation keeps no reference to t.
 //
-// Append only bumps the data generation. Nothing derived is invalidated —
-// columnar projections and cached conjunct bitmaps extend over just the
-// appended rows on their next read (column.go, vselect.go), so per-row
-// maintenance cost is independent of the total row count.
+// Nothing derived is invalidated: cached conjunct bitmaps and the identity
+// list extend over just the appended rows on their next read (vselect.go,
+// column.go), so per-row maintenance cost is independent of the total row
+// count.
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != r.schema.Len() {
 		return fmt.Errorf("relation %s: tuple has %d cells, schema has %d", r.Name, len(t), r.schema.Len())
 	}
 	r.mu.Lock()
-	rows := append(r.snapshot(), t)
-	r.rows.Store(&rows)
-	r.dataGen.Add(1)
+	c, n := r.reserveLocked(1)
+	for a, v := range t {
+		if num := c.num[a]; num != nil {
+			num[n] = v.Num
+		} else {
+			c.code[a][n] = c.dict[a].code(v.Str)
+		}
+	}
+	r.publishLocked(c, n+1)
 	r.mu.Unlock()
 	return nil
 }
@@ -217,18 +224,16 @@ func (r *Relation) MustAppend(t Tuple) {
 // Grow pre-allocates capacity for n additional rows.
 func (r *Relation) Grow(n int) {
 	r.mu.Lock()
-	rows := r.snapshot()
-	if need := len(rows) + n; need > cap(rows) {
-		grown := make([]Tuple, len(rows), need)
-		copy(grown, rows)
-		r.rows.Store(&grown)
+	c := r.cols.Load()
+	if have := int(c.n.Load()); have+n > c.rows {
+		r.cols.Store(newColumns(r.schema, have+n, c))
 	}
 	r.mu.Unlock()
 }
 
 // Select returns the indices of all rows satisfying pred, in row order.
-// A nil predicate selects every row; that identity list is cached with the
-// projections and shared across calls — callers must not modify it.
+// A nil predicate selects every row; that identity list is cached and
+// shared across calls — callers must not modify it.
 //
 // Non-nil predicates evaluate through the vectorized bitmap engine
 // (vselect.go), the only selection code in the program: every Predicate is

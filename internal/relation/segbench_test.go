@@ -38,17 +38,15 @@ func segBenchRelation(tb testing.TB, n int) *Relation {
 }
 
 // BenchmarkSegmentAppendSteady measures the steady-state per-row Append cost
-// on relations preloaded to different sizes with columns and conjunct
-// bitmaps live. An append only publishes the row, so the per-row cost must
-// be independent of the total row count — this is the number the
-// drop-everything design made O(rows) to recover.
+// on relations preloaded to different sizes with conjunct bitmaps live. An
+// append encodes the row into the columns' spare capacity and raises the
+// row count, so the per-row cost must be independent of the total row
+// count — this is the number the drop-everything design made O(rows) to
+// recover.
 func BenchmarkSegmentAppendSteady(b *testing.B) {
 	for _, n := range []int{10000, 100000, 1000000} {
 		b.Run(fmt.Sprintf("preload=%d", n), func(b *testing.B) {
 			r := segBenchRelation(b, n)
-			if err := r.BuildColumns(); err != nil {
-				b.Fatal(err)
-			}
 			if len(r.Select(segBenchSelective(n))) == 0 {
 				b.Fatal("empty warmup selection")
 			}
@@ -78,40 +76,29 @@ func segBenchSelective(n int) Predicate {
 
 // BenchmarkSegmentAppendThenRead is the headline incremental-maintenance
 // number: one appended row followed by a warm multi-conjunct Select on a
-// preloaded 100k relation. mode=incremental is the live path — projections
-// and conjunct bitmaps extend by exactly the appended suffix.
-// mode=dropEverything replays the pre-incremental design by invalidating both
-// after the append, so the Select pays full O(rows) rebuilds.
+// preloaded 100k relation. The cached conjunct bitmaps extend by exactly
+// the appended suffix.
 func BenchmarkSegmentAppendThenRead(b *testing.B) {
 	const n = 100000
-	for _, mode := range []string{"incremental", "dropEverything"} {
-		b.Run("rows=100000/mode="+mode, func(b *testing.B) {
-			r := segBenchRelation(b, n)
-			if err := r.BuildColumns(); err != nil {
-				b.Fatal(err)
-			}
-			// Narrower than segBenchSelective so the measured delta is the
-			// maintenance work, not materializing a large result slice.
-			pred := NewAnd(
-				NewClosedRange("ts", float64(n-2000), float64(n)),
-				NewClosedRange("noise", 0, 1),
-			)
+	b.Run("rows=100000/mode=incremental", func(b *testing.B) {
+		r := segBenchRelation(b, n)
+		// Narrower than segBenchSelective so the measured delta is the
+		// maintenance work, not materializing a large result slice.
+		pred := NewAnd(
+			NewClosedRange("ts", float64(n-2000), float64(n)),
+			NewClosedRange("noise", 0, 1),
+		)
+		if len(r.Select(pred)) == 0 {
+			b.Fatal("empty warmup selection")
+		}
+		rng := rand.New(rand.NewSource(44))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.MustAppend(segBenchTuple(rng, n+i))
 			if len(r.Select(pred)) == 0 {
-				b.Fatal("empty warmup selection")
+				b.Fatal("empty selection")
 			}
-			rng := rand.New(rand.NewSource(44))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				r.MustAppend(segBenchTuple(rng, n+i))
-				if mode == "dropEverything" {
-					r.dropColumns()
-					r.dropConjuncts()
-				}
-				if len(r.Select(pred)) == 0 {
-					b.Fatal("empty selection")
-				}
-			}
-		})
-	}
+		}
+	})
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Vectorized selection (DESIGN.md §9). Relation.Select evaluates each
-// conjunct of a WHERE clause directly over the columnar projections
+// conjunct of a WHERE clause directly over the relation's columns
 // (column.go) instead of tuple-at-a-time through Predicate.Matches, which
 // pays a schema lookup plus a map probe per row per conjunct:
 //
@@ -28,11 +28,10 @@ import (
 // the conjunct's canonical signature (the same canonical spelling
 // internal/sqlparse uses for query signatures — see SigNum), so distinct
 // queries sharing a conjunct — the star-schema workload pattern the paper
-// targets — reuse its bitmap. Entries are stamped with the relation's data
-// generation; an entry whose stamp lags the current generation is not
-// dropped but *extended* — the builder copies its words and evaluates only
-// the rows appended since (DESIGN.md §14), so append churn costs O(new
-// rows) per cached conjunct instead of a full rebuild.
+// targets — reuse its bitmap. An entry whose universe is shorter than the
+// row count is not dropped but *extended* — the builder copies its words
+// and evaluates only the rows appended since (DESIGN.md §14), so append
+// churn costs O(new rows) per cached conjunct instead of a full rebuild.
 //
 // The Predicate interface is sealed (predicate.go): every predicate is an
 // And/In/Range/True tree, so this engine is the only selection path and its
@@ -79,15 +78,13 @@ type vselState struct {
 	extended atomic.Uint64
 }
 
-// conjEntry is one cached conjunct bitmap. gen stamps the relation data
-// generation the bitmap was built against; a stale stamp means rows were
-// appended since — the entry's bitmap then seeds an extension build that
-// evaluates only the rows past its coverage.
+// conjEntry is one cached conjunct bitmap. A universe shorter than the row
+// count means rows were appended since — the entry's bitmap then seeds an
+// extension build that evaluates only the rows past its coverage.
 type conjEntry struct {
 	sig   string
 	bm    *Bitmap
 	count int
-	gen   uint64
 }
 
 // SelectStats returns a snapshot of the selection counters.
@@ -107,10 +104,10 @@ func (r *Relation) SelectStats() SelectStats {
 	return s
 }
 
-// DataGeneration returns the relation's mutation counter: it increments on
-// every Append, so derived artifacts (conjunct bitmaps, memoized trees) can
-// be stamped against the data they were built from.
-func (r *Relation) DataGeneration() uint64 { return r.dataGen.Load() }
+// DataGeneration identifies the relation's data: rows are only appended, so
+// the row count rises with every mutation, and derived artifacts (memoized
+// trees) are stamped with it.
+func (r *Relation) DataGeneration() uint64 { return uint64(r.Len()) }
 
 // vectorSelect evaluates pred through the vectorized engine, returning
 // exactly the ascending row list a row-wise Predicate.Matches scan would.
@@ -171,14 +168,11 @@ func (r *Relation) conjunctBitmap(c Predicate) *conjEntry {
 		}
 		sig = rangeSignature(p)
 	}
-	// The generation is read BEFORE the column snapshot inside the builder:
-	// if an Append races the build, the entry is stamped with the older
-	// generation and the next lookup extends it again (a cheap no-op when
-	// the bitmap already covers the rows). Stamping after the snapshot could
-	// publish a fresh-looking entry missing rows.
-	gen := r.dataGen.Load()
+	// A cached bitmap is current exactly when its universe is the row
+	// count: its builder read a count no later than this one, and counts
+	// only rise.
 	prevE := r.lookupConjunct(sig)
-	if prevE != nil && prevE.gen == gen {
+	if prevE != nil && prevE.bm.Len() == r.Len() {
 		r.vsel.hits.Add(1)
 		return prevE
 	}
@@ -196,13 +190,13 @@ func (r *Relation) conjunctBitmap(c Predicate) *conjEntry {
 	case *Range:
 		bm = r.buildRangeBitmap(p, prev)
 	}
-	e := &conjEntry{sig: sig, bm: bm, count: bm.Count(), gen: gen}
+	e := &conjEntry{sig: sig, bm: bm, count: bm.Count()}
 	r.insertConjunct(e)
 	return e
 }
 
-// lookupConjunct returns the signature's entry regardless of generation
-// staleness (the caller decides between hit, extension, and miss),
+// lookupConjunct returns the signature's entry however many rows it covers
+// (the caller decides between hit, extension, and miss),
 // refreshing LRU recency.
 func (r *Relation) lookupConjunct(sig string) *conjEntry {
 	r.vsel.mu.Lock()
@@ -254,11 +248,10 @@ func seedExtension(bm, prev *Bitmap) int {
 }
 
 // buildInBitmap evaluates an IN conjunct over the dictionary-coded column:
-// member strings resolve to codes once (binary search in the sorted value
-// table), then a pass over the code column tests membership in a dict-sized
-// bitset — no string hashing per row. With a prev bitmap, only rows past
-// its coverage are evaluated (a member-value verdict never changes for a
-// stored row, and dictionary remaps renumber codes, not values).
+// member strings resolve to codes once (one dictionary lookup each), then a
+// pass over the code column tests membership in a dict-sized bitset — no
+// string hashing per row. With a prev bitmap, only rows past its coverage
+// are evaluated (a stored row's code never changes).
 func (r *Relation) buildInBitmap(p *In, prev *Bitmap) *Bitmap {
 	col, err := r.CatColumn(p.Attr)
 	if err != nil {

@@ -25,8 +25,8 @@ check: lint
 
 # catlint (DESIGN.md §11): the project-specific static-analysis suite. Every
 # check mechanizes an invariant a past PR broke and then fixed by hand. Use
-# `go run ./cmd/catlint -json ./...` for machine-readable diagnostics and
-# `go run ./cmd/catlint -list` for the check inventory.
+# `go run ./cmd/catlint -format=json ./...` for machine-readable diagnostics
+# and `go run ./cmd/catlint -list` for the check inventory.
 lint:
 	gofmt -l . | grep . && exit 1 || true
 	go vet ./...
@@ -34,12 +34,23 @@ lint:
 
 # Self-check: catlint must exit non-zero on the seeded-violation fixtures
 # (the go tool's ... wildcard skips testdata, so the fixture packages are
-# enumerated outright) and its own fixture tests must pass.
+# enumerated outright) and its own fixture tests must pass. go vet must
+# report every copy in internal/lint/testdata/vet, the job copylocks took
+# over from catlint (DESIGN.md §11): each line marked `// vet: <message>`
+# must draw that message.
 lint-selfcheck:
 	@if go run ./cmd/catlint $$(find internal/lint/testdata/src -name '*.go' \
 		| xargs -n1 dirname | sort -u | sed 's|^|./|') >/dev/null; then \
 		echo "catlint failed to flag the seeded fixture violations" >&2; exit 1; \
 	else echo "catlint flags the seeded fixtures: ok"; fi
+	@f=internal/lint/testdata/vet/vet.go; \
+	if out=$$(go vet ./$$(dirname $$f) 2>&1); then \
+		echo "go vet passed $$f" >&2; exit 1; fi; \
+	grep -n '// vet: ' $$f | while IFS= read -r m; do \
+		n=$${m%%:*}; msg=$${m##*// vet: }; \
+		echo "$$out" | grep -q "vet.go:$$n:[0-9]*: .*$$msg" || { \
+			echo "go vet did not report $$f:$$n ($$msg)" >&2; exit 1; }; \
+	done && echo "go vet reports every copy in the vet fixture: ok"
 	go test ./internal/lint
 
 # Perf gate: the interprocedural passes (call graph + effect summaries,

@@ -35,8 +35,8 @@ type AdaptiveSystem struct {
 	learned atomic.Int64
 	// warm is the running predictive pre-warmer, nil when warming is off.
 	// Always read through the atomic pointer (StartWarmer/StopWarmer swap
-	// it); warmer code itself must go through System()/Snapshot for the
-	// current snapshot, never through cur directly.
+	// it). The warmer holds only the System accessor, never the
+	// AdaptiveSystem, so it cannot read cur directly.
 	warm atomic.Pointer[Warmer]
 }
 

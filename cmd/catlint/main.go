@@ -1,6 +1,7 @@
 // Command catlint runs the repository's project-specific static-analysis
-// suite (internal/lint): eleven checks, each mechanizing an invariant a past
-// PR broke and then fixed by hand — see DESIGN.md §11 and §16.
+// suite (internal/lint): six checks, each mechanizing an invariant a past PR
+// broke and that neither go vet nor the tests catch — see DESIGN.md §11 and
+// §16.
 //
 // Usage:
 //
@@ -8,10 +9,9 @@
 //
 // Packages default to ./... . Exit status: 0 clean, 1 findings, 2 driver
 // error (including an unknown -checks name). -format=github emits GitHub
-// Actions ::error workflow commands so CI annotates the offending lines;
-// -json is kept as an alias for -format=json. Suppress one line with
-// `//lint:ignore <check> <reason>` on the offending line or the line above
-// it.
+// Actions ::error workflow commands so CI annotates the offending lines.
+// Suppress one line with `//lint:ignore <check> <reason>` on the offending
+// line or the line above it.
 package main
 
 import (
@@ -24,7 +24,6 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout (alias for -format=json)")
 	format := flag.String("format", "text", "output format: text, json, or github (GitHub Actions ::error commands)")
 	checksFlag := flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 	list := flag.Bool("list", false, "list the available checks and exit")
@@ -35,9 +34,6 @@ func main() {
 			fmt.Printf("%-14s %s\n", c.Name, c.Doc)
 		}
 		return
-	}
-	if *jsonOut {
-		*format = "json"
 	}
 	switch *format {
 	case "text", "json", "github":

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -496,35 +497,66 @@ func TestProbabilityBounds(t *testing.T) {
 	}
 }
 
-// TestCandidateAttrsNotMutated guards the removeAttr fix: the level loop
-// narrows the candidate set as attributes are used, and an in-place
-// removal (append over attrs[:0]) would scribble over the caller's
-// Options.CandidateAttrs backing array — corrupting the caller's slice and
-// any later categorization sharing it.
+// TestCandidateAttrsNotMutated guards the caller's Options.CandidateAttrs
+// at every entry point that reads it. A by-value Options still shares the
+// slice's backing array, so an in-place removal (removeAttr's old append over
+// attrs[:0]) or sort anywhere below would scribble over the caller's slice
+// and change any later run sharing it. Each entry point gets an unsorted
+// caller slice, runs twice, and must leave the slice as it was and build the
+// same result both times.
 func TestCandidateAttrsNotMutated(t *testing.T) {
 	r := testRelation(500)
-	cands := []string{"neighborhood", "price", "bedrooms", "propertytype"}
-	want := append([]string(nil), cands...)
-	c := NewCategorizer(testStats(t), Options{M: 20, CandidateAttrs: cands})
-	tree, err := c.Categorize(r, nil)
-	if err != nil {
-		t.Fatalf("Categorize: %v", err)
-	}
-	if len(tree.LevelAttrs) < 2 {
-		t.Fatalf("want >= 2 levels so removeAttr runs more than once, got %v", tree.LevelAttrs)
-	}
-	for i := range cands {
-		if cands[i] != want[i] {
-			t.Fatalf("caller's CandidateAttrs mutated: got %v, want %v", cands, want)
+	stats := testStats(t)
+	baseline := func(kind Technique) func(Options) (string, error) {
+		return func(o Options) (string, error) {
+			tree, err := (&Baseline{Stats: stats, Opts: o, Kind: kind}).Categorize(r, nil)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprint(tree.LevelAttrs), nil
 		}
 	}
-	// A second run over the same Options must see the full candidate set.
-	tree2, err := c.Categorize(r, nil)
-	if err != nil {
-		t.Fatalf("second Categorize: %v", err)
+	entries := []struct {
+		name string
+		run  func(Options) (string, error)
+	}{
+		{"Categorizer.Categorize", func(o Options) (string, error) {
+			tree, err := NewCategorizer(stats, o).Categorize(r, nil)
+			if err != nil {
+				return "", err
+			}
+			if len(tree.LevelAttrs) < 2 {
+				return "", fmt.Errorf("want >= 2 levels so removeAttr runs more than once, got %v", tree.LevelAttrs)
+			}
+			return fmt.Sprint(tree.LevelAttrs), nil
+		}},
+		{"Baseline.Categorize/AttrCost", baseline(AttrCost)},
+		{"Baseline.Categorize/NoCost", baseline(NoCost)},
+		{"Categorizer.OptimalCostAll", func(o Options) (string, error) {
+			best, trees, err := NewCategorizer(stats, o).OptimalCostAll(r, nil, EnumerateLimits{MaxSplitpoints: 3})
+			return fmt.Sprint(best, trees), err
+		}},
 	}
-	if len(tree2.LevelAttrs) != len(tree.LevelAttrs) {
-		t.Fatalf("second run built a different tree: %v vs %v", tree2.LevelAttrs, tree.LevelAttrs)
+	for _, e := range entries {
+		t.Run(e.name, func(t *testing.T) {
+			cands := []string{"neighborhood", "price", "bedrooms", "propertytype"}
+			want := slices.Clone(cands)
+			opts := Options{M: 20, CandidateAttrs: cands}
+			first, err := e.run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(cands, want) {
+				t.Fatalf("caller's CandidateAttrs mutated: got %v, want %v", cands, want)
+			}
+			second, err := e.run(opts)
+			if err != nil {
+				t.Fatalf("second run: %v", err)
+			}
+			if second != first {
+				t.Fatalf("second run over the same Options differs: %s vs %s", second, first)
+			}
+		})
 	}
 }
 

@@ -208,6 +208,10 @@ func (t *Tree) Validate() error {
 	}
 	seen := map[string]int{}
 	levelAttr := map[int]string{}
+	// A label constrains one attribute, so each tested tuple needs only that
+	// cell: it goes into one reused tuple and through the label's predicate.
+	schema := t.R.Schema()
+	probe := make(relation.Tuple, schema.Len())
 	var verr error
 	t.Root.Walk(func(n *Node, depth int) bool {
 		if verr != nil {
@@ -226,8 +230,12 @@ func (t *Tree) Validate() error {
 			}
 			seen[key] = depth
 			pred := n.Label.Predicate()
+			a, known := schema.Lookup(n.Label.Attr)
 			for _, i := range n.Tset {
-				if !pred.Matches(t.R.Schema(), t.R.Row(i)) {
+				if known {
+					probe[a] = t.R.Cell(i, a)
+				}
+				if !pred.Matches(schema, probe) {
 					verr = fmt.Errorf("category: tuple %d in %q violates its label", i, n.Label)
 					return false
 				}

@@ -188,15 +188,50 @@ func TestValidateDetectsOverlap(t *testing.T) {
 	}
 }
 
+// TestValidateDetectsLabelViolation checks Validate's label test against
+// each label kind: a tree whose one child holds rows is accepted exactly when
+// every row satisfies the child's label.
 func TestValidateDetectsLabelViolation(t *testing.T) {
-	r := testRelation(10)
-	rows := r.Select(nil)
-	// A single child claiming all tuples belong to one neighborhood.
-	child := &Node{Label: Label{Kind: LabelValue, Attr: "neighborhood", Value: "Nowhere"}, Tset: rows}
-	root := &Node{Label: Label{Kind: LabelAll}, Tset: rows, SubAttr: "neighborhood", Children: []*Node{child}}
-	tree := &Tree{Root: root, R: r}
-	if err := tree.Validate(); err == nil {
-		t.Fatal("Validate should reject tuples violating their label")
+	r := relation.New("ListProperty", testSchema())
+	for _, row := range []relation.Tuple{
+		{relation.StringValue("Bellevue, WA"), relation.NumberValue(200000), relation.NumberValue(2), relation.StringValue("Condo")},
+		{relation.StringValue("Redmond, WA"), relation.NumberValue(250000), relation.NumberValue(3), relation.StringValue("Condo")},
+		{relation.StringValue("Seattle, WA"), relation.NumberValue(math.NaN()), relation.NumberValue(4), relation.StringValue("Townhouse")},
+	} {
+		r.MustAppend(row)
+	}
+	price := func(lo, hi float64, hiInc bool) Label {
+		return Label{Kind: LabelRange, Attr: "price", Lo: lo, Hi: hi, HiInc: hiInc}
+	}
+	hoods := func(vs ...string) Label { return Label{Kind: LabelValueSet, Attr: "neighborhood", Values: vs} }
+	tests := []struct {
+		name  string
+		label Label
+		rows  []int
+		valid bool
+	}{
+		{"value no row has", Label{Kind: LabelValue, Attr: "neighborhood", Value: "Nowhere"}, []int{0, 1, 2}, false},
+		{"value every row has", Label{Kind: LabelValue, Attr: "propertytype", Value: "Condo"}, []int{0, 1}, true},
+		{"range excluding the row at Hi", price(200000, 250000, false), []int{0, 1}, false},
+		{"range including the row at Hi", price(200000, 250000, true), []int{0, 1}, true},
+		{"range below Lo", price(210000, 300000, true), []int{0, 1}, false},
+		{"value set holding every row", hoods("Bellevue, WA", "Redmond, WA"), []int{0, 1}, true},
+		{"value set missing a row", hoods("Bellevue, WA", "Redmond, WA"), []int{0, 1, 2}, false},
+		{"NaN cell under an unbounded range", price(math.Inf(-1), math.Inf(1), true), []int{2}, false},
+		{"unbounded range without the NaN cell", price(math.Inf(-1), math.Inf(1), true), []int{0, 1}, true},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			child := &Node{Label: tc.label, Tset: tc.rows}
+			root := &Node{Label: Label{Kind: LabelAll}, Tset: tc.rows, SubAttr: tc.label.Attr, Children: []*Node{child}}
+			err := (&Tree{Root: root, R: r}).Validate()
+			if tc.valid && err != nil {
+				t.Fatalf("Validate rejected a valid label: %v", err)
+			}
+			if !tc.valid && err == nil {
+				t.Fatal("Validate accepted a tuple violating its label")
+			}
+		})
 	}
 }
 

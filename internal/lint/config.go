@@ -15,12 +15,6 @@ import (
 // swallow every subpackage). Function patterns are substrings of the
 // fully-qualified "pkgpath.Func" (or "pkgpath.Type.Method") name.
 type Config struct {
-	// OptStructs names the caller-owned parameter struct types optmut
-	// protects: by-value parameters of a matching type must not have their
-	// slice/map fields mutated in place (PR1's removeAttr clobbered the
-	// caller's Options.CandidateAttrs through exactly such a field).
-	OptStructs *regexp.Regexp
-
 	// SigFuncs matches the names of functions that build signatures or cache
 	// keys; inside them sigfloat bans fmt/strconv float formatting (PR3's
 	// HiInc collision came from ad-hoc float spelling). SigNumFuncs are the
@@ -42,26 +36,6 @@ type Config struct {
 	// poll sites.
 	HotPkgs          []string
 	HotApprovedFuncs []string
-
-	// WarmFuncs matches warm-path function names ("Func" or "Type.Method");
-	// inside them warmguard bans direct field reads of the snapshot-owner
-	// types in SnapshotTypes — the pre-warmer (PR7) rides behind the learn
-	// stream's snapshot swaps, so it must take the current snapshot through
-	// an atomic accessor (System/Snapshot), never through the owner's
-	// fields. Methods declared on a snapshot type are exempt: they are the
-	// accessors.
-	WarmFuncs     *regexp.Regexp
-	SnapshotTypes []string
-
-	// SegPkgs are the packages allowed to write segment column pages in
-	// place (internal/relation, whose append paths write only into
-	// unpublished spare capacity under the relation mutex). SegFields lists
-	// the shared page-carrying fields ("Type.Field") segguard bans writing,
-	// appending to, or copying into anywhere else — a column's Codes/Dict
-	// backing is shared by every published column snapshot and conjunct
-	// bitmap built over it (DESIGN.md §14). Reads stay free.
-	SegPkgs   []string
-	SegFields []string
 
 	// FsyncPkgs are the library packages whose file creation must go through
 	// the durable store's write path (fsyncguard, PR9): a raw
@@ -88,13 +62,6 @@ type Config struct {
 	// readers. The treecache insert and the durable manifest writer are the
 	// repository's two non-atomic publication points.
 	PublishSinks []PublishSink
-
-	// NoCopyPkgs is the serving path for the copylocks-style nocopy check:
-	// types carrying mutexes or atomics — and the reference-semantics types
-	// listed in NoCopyTypes ("pkgpath.Type" substrings) — must not be passed
-	// or returned by value there.
-	NoCopyPkgs  []string
-	NoCopyTypes []string
 }
 
 // PublishSink names one publication function for frozenguard: calls whose
@@ -110,8 +77,6 @@ type PublishSink struct {
 // internal/lint/testdata/src/, so the same substring patterns scope both.
 func DefaultConfig() *Config {
 	return &Config{
-		OptStructs: regexp.MustCompile(`(Options|Config|Policy)$`),
-
 		SigFuncs:    regexp.MustCompile(`(?i)(sig|key)`),
 		SigNumFuncs: []string{"internal/relation.SigNum"},
 
@@ -122,23 +87,11 @@ func DefaultConfig() *Config {
 		HotPkgs:          []string{"internal/category", "internal/relation"},
 		HotApprovedFuncs: []string{"internal/category.ctxExpired"},
 
-		WarmFuncs:     regexp.MustCompile(`(?i)warm`),
-		SnapshotTypes: []string{"AdaptiveSystem"},
-
-		SegPkgs:   []string{"internal/relation"},
-		SegFields: []string{"CatColumn.Codes", "CatColumn.Dict"},
-
 		FsyncPkgs: []string{
 			"repro", "internal/relation", "internal/category", "internal/workload",
 			"internal/treecache", "internal/server", "internal/sqlparse",
 		},
 		FsyncAllowPkgs: []string{"internal/relation/durable"},
-
-		NoCopyPkgs: []string{
-			"repro", "internal/server", "internal/treecache",
-			"internal/resilience", "internal/relation", "internal/category",
-		},
-		NoCopyTypes: []string{"internal/relation.Bitmap"},
 
 		FrozenPkgs: []string{
 			"repro", "internal/relation", "internal/treecache",

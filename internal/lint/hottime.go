@@ -28,21 +28,19 @@ func runHotTime(pass *Pass) {
 	if !matchPkg(pass.Path, pass.Cfg.HotPkgs) {
 		return
 	}
-	eachFunc(pass.Package, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
-		if lit != nil {
-			return // literal bodies belong to their declaring function
-		}
+	eachFuncDecl(pass.Package, func(decl *ast.FuncDecl) {
 		if fn, ok := pass.Info.Defs[decl.Name].(*types.Func); ok &&
 			matchFunc(qualifiedName(fn), pass.Cfg.HotApprovedFuncs) {
 			return
 		}
-		ast.Inspect(body, func(n ast.Node) bool {
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			fn := calleeFunc(pass.Info, call)
-			if fn != nil && funcPkgPath(fn) == "time" && hotTimeFuncs[fn.Name()] {
+			if fn != nil && funcPkgPath(fn) == "time" && hotTimeFuncs[fn.Name()] &&
+				fn.Type().(*types.Signature).Recv() == nil { // t.After(u) compares, it reads no clock
 				pass.Reportf(call.Pos(),
 					"raw time.%s in hot-path package %s; poll deadlines via ctxExpired (suppress with a reason if this is deliberate one-shot instrumentation)",
 					fn.Name(), pass.Pkg.Name())

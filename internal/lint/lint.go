@@ -23,7 +23,7 @@ import (
 )
 
 // Diagnostic is one finding: a check name, a position, and a message. The
-// JSON shape is the `catlint -json` output contract (README "Static
+// JSON shape is the `catlint -format=json` output contract (README "Static
 // analysis").
 type Diagnostic struct {
 	Check   string `json:"check"`
@@ -86,18 +86,15 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// Checks returns every check in the suite, in stable order. Each one
-// mechanizes an invariant a past PR broke and then fixed by hand.
+// Checks returns the suite's six checks, in stable order. Each one
+// mechanizes an invariant a past PR broke and then fixed by hand, and
+// catches a plant of that bug that go vet, the tests and the race steps
+// miss (DESIGN.md §11).
 func Checks() []*Check {
 	return []*Check{
-		checkOptMut,
 		checkSigFloat,
-		checkSnapshotGuard,
 		checkRecoverBound,
 		checkHotTime,
-		checkNoCopy,
-		checkWarmGuard,
-		checkSegGuard,
 		checkFsyncGuard,
 		checkFrozenGuard,
 		checkLockGuard,
@@ -168,9 +165,9 @@ func Run(pkgs []*Package, cfg *Config, checks []*Check) []Diagnostic {
 
 // dedup drops diagnostics that repeat an identical (position, check) pair —
 // the interprocedural checks can derive the same finding along several call
-// paths, and -json output must stay stable regardless of which path reports
-// first. The input is position-sorted, so duplicates are adjacent; the first
-// (lexically smallest) message wins.
+// paths, and -format=json output must stay stable regardless of which path
+// reports first. The input is position-sorted, so duplicates are adjacent;
+// the first (lexically smallest) message wins.
 func dedup(diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for i, d := range diags {

@@ -189,7 +189,7 @@ func f() {
 	_ = 2
 	//lint:ignore * recorded reason
 	_ = 3
-	_ = 4 //lint:ignore nocopy,hottime recorded reason
+	_ = 4 //lint:ignore fsyncguard,hottime recorded reason
 }
 `
 	fset := token.NewFileSet()
@@ -205,9 +205,9 @@ func f() {
 	}{
 		{5, "hottime", false}, // directive above has no reason
 		{7, "hottime", true},
-		{7, "nocopy", false},  // wrong check
-		{9, "nocopy", true},   // wildcard
-		{10, "hottime", true}, // same-line directive
+		{7, "sigfloat", false}, // wrong check
+		{9, "sigfloat", true},  // wildcard
+		{10, "hottime", true},  // same-line directive
 		{10, "sigfloat", false},
 	}
 	for _, c := range cases {

@@ -19,10 +19,7 @@ var checkSigFloat = &Check{
 }
 
 func runSigFloat(pass *Pass) {
-	eachFunc(pass.Package, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
-		if lit != nil {
-			return // literal bodies are scanned with their enclosing decl
-		}
+	eachFuncDecl(pass.Package, func(decl *ast.FuncDecl) {
 		if !pass.Cfg.SigFuncs.MatchString(decl.Name.Name) {
 			return
 		}
@@ -30,7 +27,7 @@ func runSigFloat(pass *Pass) {
 			matchFunc(qualifiedName(fn), pass.Cfg.SigNumFuncs) {
 			return // the canonical formatter itself
 		}
-		ast.Inspect(body, func(n ast.Node) bool {
+		ast.Inspect(decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true

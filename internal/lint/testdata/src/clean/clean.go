@@ -1,31 +1,14 @@
 // Package clean is the all-negative fixture: code adjacent to every check's
 // pattern that must produce zero diagnostics, proving the checks stay scoped
-// (hottime to its packages, nocopy to the serving path) and
-// that suppressions silence true positives.
+// (hottime to its packages, recoverbound to the serving path) and that
+// suppressions silence true positives.
 package clean
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
-
-type Options struct {
-	CandidateAttrs []string
-}
-
-// pointerOpts mutates through an explicit *Options: the caller opted in.
-func pointerOpts(o *Options) {
-	sort.Strings(o.CandidateAttrs)
-}
-
-// copyFirst snapshots before sorting: the caller's slice is untouched.
-func copyFirst(o Options) []string {
-	out := append([]string(nil), o.CandidateAttrs...)
-	sort.Strings(out)
-	return out
-}
 
 // timing reads the raw clock — fine here, this package is not a hot-path
 // package.

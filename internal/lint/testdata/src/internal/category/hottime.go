@@ -32,6 +32,20 @@ func hotLoop(rows []int) time.Duration {
 	return time.Since(start) // want `raw time\.Since in hot-path package`
 }
 
+// budgetPoll re-derives ctxExpired's wall-clock deadline check inline, the
+// duplicate the approved poll site exists to prevent: the clock read is a
+// finding, the Time.After comparison is not.
+func budgetPoll(ctx context.Context, attrs []string) int {
+	n := 0
+	for range attrs {
+		if d, ok := ctx.Deadline(); ok && time.Now().After(d) { // want `raw time\.Now in hot-path package`
+			break
+		}
+		n++
+	}
+	return n
+}
+
 // timerLoop constructs a runtime timer in a hot-path package: finding.
 func timerLoop() {
 	t := time.NewTimer(time.Second) // want `raw time\.NewTimer in hot-path package`

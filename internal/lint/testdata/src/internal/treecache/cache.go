@@ -23,6 +23,12 @@ func (s *store) BadDirect() {
 	s.table["k"] = 1 // want `store.table is guarded by mu, and no path to this access holds the lock`
 }
 
+// BadSnapshot reads guarded state with no lock, the shape of an unlocked
+// segs/tail read in place of a locked snapshot().
+func (s *store) BadSnapshot() (map[string]int, int) {
+	return s.table, s.hits // want `store.table is guarded by mu` `store.hits is guarded by mu`
+}
+
 // bump requires its caller to hold the lock; GoodCaller discharges the
 // requirement, BadCaller does not, so the violations surface here.
 func (s *store) bump(k string) {

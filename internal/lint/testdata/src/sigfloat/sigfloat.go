@@ -25,6 +25,13 @@ func appendKeyPart(dst []byte, x float64) []byte {
 	return strconv.AppendFloat(dst, x, 'g', -1, 64) // want `strconv\.AppendFloat in a signature/cache-key path`
 }
 
+// rangeSignature spells an interval's upper bound with %g, which prints -0
+// and 0 differently (SigNum folds them), so two equal predicates take two
+// cache slots. Finding.
+func rangeSignature(b *strings.Builder, hi float64) {
+	b.WriteString(fmt.Sprintf("%g", hi)) // want `fmt\.Sprintf formats a float in a signature/cache-key path`
+}
+
 // signatureInts formats only integers on the key path. Clean.
 func signatureInts(m, n int) string {
 	return fmt.Sprintf("%d|%d", m, n)

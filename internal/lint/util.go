@@ -68,23 +68,6 @@ func derefNamed(t types.Type) (*types.Named, bool) {
 	return n, ok
 }
 
-// namedFrom reports the declaring package path and name of the (possibly
-// instantiated generic) named type behind t, without unwrapping pointers.
-func namedFrom(t types.Type) (pkgPath, name string, ok bool) {
-	n, isNamed := t.(*types.Named)
-	if !isNamed {
-		if a, isAlias := t.(*types.Alias); isAlias {
-			return namedFrom(types.Unalias(a))
-		}
-		return "", "", false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return "", obj.Name(), true
-	}
-	return obj.Pkg().Path(), obj.Name(), true
-}
-
 // funcDeclName returns the declared function's qualified name within its
 // package ("Func" or "Type.Method").
 func funcDeclName(fd *ast.FuncDecl) string {
@@ -111,23 +94,14 @@ func recvTypeName(t ast.Expr) (string, bool) {
 	return "", false
 }
 
-// eachFunc walks every function declaration and function literal in the
-// package, reporting the innermost enclosing declared function's name for
-// literals.
-func eachFunc(pkg *Package, fn func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt)) {
+// eachFuncDecl calls fn for every function declaration with a body in the
+// package; function literals are scanned as part of their declaration.
+func eachFuncDecl(pkg *Package, fn func(decl *ast.FuncDecl)) {
 	for _, f := range pkg.Files {
 		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn(fd)
 			}
-			fn(fd, nil, fd.Body)
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if lit, ok := n.(*ast.FuncLit); ok {
-					fn(fd, lit, lit.Body)
-				}
-				return true
-			})
 		}
 	}
 }

@@ -9,11 +9,20 @@ import "math/bits"
 // unpacks to the ascending []int row list the categorizer consumes.
 //
 // Bitmaps published through the conjunct cache are immutable; the in-place
-// operations (Set, And) are for bitmaps still owned by their builder.
+// operations (Set, And) are for bitmaps still owned by their builder. A
+// Bitmap moves by pointer: a copy would share words but fork n.
 type Bitmap struct {
+	_     noCopy
 	words []uint64
 	n     int
 }
+
+// noCopy is a zero-size first field whose Lock/Unlock methods make go vet's
+// copylocks check reject a Bitmap passed, returned or assigned by value.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // NewBitmap returns an empty bitmap over rows [0, n).
 func NewBitmap(n int) *Bitmap {

@@ -171,8 +171,8 @@ func (d *dictionary) lookup(v string) (uint32, bool) {
 
 // CatColumn is a snapshot of one categorical attribute. Codes[i] is the
 // code of row i's value and Dict maps codes to values, in arrival order.
-// Both slices are shared — callers must not modify them (catlint's
-// segguard check enforces this outside internal/relation).
+// Both slices are shared with every snapshot and conjunct bitmap built
+// over them — callers must not modify them.
 type CatColumn struct {
 	Codes []uint32
 	Dict  []string

@@ -184,6 +184,16 @@ func (r *Relation) Row(i int) Tuple {
 	return t
 }
 
+// Cell returns row i's value of the attribute at schema position a, without
+// building the rest of the row.
+func (r *Relation) Cell(i, a int) Value {
+	v := r.view()
+	if i < 0 || i >= v.n {
+		panic(fmt.Sprintf("relation %s: row %d out of range [0, %d)", r.Name, i, v.n))
+	}
+	return v.value(a, i)
+}
+
 // Append adds a row. It returns an error if the tuple width does not match
 // the schema. Append is safe to call concurrently with readers (Select,
 // Categorize, the column accessors): the tuple's cells are encoded into

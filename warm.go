@@ -76,8 +76,11 @@ type WarmerStats struct {
 // with StartWarmer, stop with StopWarmer; all methods are safe for concurrent
 // use.
 type Warmer struct {
-	a   *AdaptiveSystem
-	cfg WarmerConfig
+	// current returns the published snapshot (AdaptiveSystem.System): the
+	// warmer holds no AdaptiveSystem, so it cannot read the owner's fields
+	// around the atomic load.
+	current func() *System
+	cfg     WarmerConfig
 
 	mu     sync.Mutex
 	counts map[string]*warmSig
@@ -121,12 +124,12 @@ func (a *AdaptiveSystem) StartWarmer(cfg WarmerConfig) *Warmer {
 		cfg.Budget = defaultWarmBudget
 	}
 	w := &Warmer{
-		a:      a,
-		cfg:    cfg,
-		counts: make(map[string]*warmSig),
-		notify: make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+		current: a.System,
+		cfg:     cfg,
+		counts:  make(map[string]*warmSig),
+		notify:  make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	if !a.warm.CompareAndSwap(nil, w) {
 		return nil
@@ -224,7 +227,7 @@ func (w *Warmer) protectedWarmCycle() {
 // One cycle may cover several coalesced learns; a cycle that finds the
 // generation the previous one warmed is a no-op.
 func (w *Warmer) warmCycle() {
-	sys := w.a.System()
+	sys := w.current()
 	gen := sys.Generation()
 	w.mu.Lock()
 	if w.cycled && w.lastGen == gen {

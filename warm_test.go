@@ -34,12 +34,12 @@ func bareWarmer(a *AdaptiveSystem, cfg WarmerConfig) *Warmer {
 		cfg.Budget = defaultWarmBudget
 	}
 	return &Warmer{
-		a:      a,
-		cfg:    cfg,
-		counts: make(map[string]*warmSig),
-		notify: make(chan struct{}, 1),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+		current: a.System,
+		cfg:     cfg,
+		counts:  make(map[string]*warmSig),
+		notify:  make(chan struct{}, 1),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 }
 
